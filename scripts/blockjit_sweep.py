@@ -2,15 +2,15 @@
 
 Runs every benchmark on both ISAs in three modes (plain, PC-sampled,
 fault-injected) and asserts bitwise-identical results, cycle totals,
-per-pc sample counts and deopt records between the step loop, the
-block-compiled executor and the trace tier.  The block side runs with
-typed block variants (repro.analysis.typeflow plans) force-enabled and
-the lazy block versioning tier (repro.machine.lbbv) force-armed on
-every compiled config, so the sweep is also the acceptance oracle for
-check elision — including the trace tier's *chain* guard elision and
-lbbv's guard-free version chaining: a typed variant, a stitched chain,
-a specialized version body or a rechained edge that drops a check it
-should not drop diverges here.  The trace
+per-pc sample counts and deopt records between the step loop (tier
+``opt``), the block-compiled executor (tier ``lbbv``) and the trace tier
+(``trace``).  Every tier is pinned in code, so the block side always
+runs typed block variants (repro.analysis.typeflow plans) and lazy
+block versions (repro.machine.lbbv), and the sweep is also the
+acceptance oracle for check elision — including the trace tier's
+*chain* guard elision and lbbv's guard-free version chaining: a typed
+variant, a stitched chain, a specialized version body or a rechained
+edge that drops a check it should not drop diverges here.  The trace
 tier runs with low promotion thresholds (REPRO_TRACEJIT_* set below) so
 chains actually form and execute within the 20-iteration cells.  CI
 runs the same oracle on the smoke subset via
@@ -28,12 +28,9 @@ import sys
 os.environ.setdefault("REPRO_TRACEJIT_BUDGET", "400")
 os.environ.setdefault("REPRO_TRACEJIT_HOT", "8")
 os.environ.setdefault("REPRO_TRACEJIT_ENTRY", "8")
-# Arm the versioning tier on every compiled config regardless of the
-# session default, so all 186 cells differentially test version bodies,
-# dispatchers and rechained edges against the step loop.
-os.environ["REPRO_LBBV"] = "1"
 
 from repro.engine import Engine, EngineConfig
+from repro.machine.ladder import Tier
 from repro.profiling.sampler import attach_sampler
 from repro.resilience.faults import FaultInjector, plan_for
 from repro.suite.runner import BenchmarkRunner
@@ -42,16 +39,16 @@ from repro.suite.spec import all_benchmarks
 ITERATIONS = 20
 SAMPLE_PERIOD = 467.0
 
-#: tier name -> EngineConfig knobs
+#: sweep mode -> executor tier
 TIERS = {
-    "step": dict(blockjit=False, tracejit=False),
-    "block": dict(blockjit=True, tracejit=False),
-    "trace": dict(blockjit=True, tracejit=True),
+    "step": Tier.OPT,
+    "block": Tier.LBBV,
+    "trace": Tier.TRACE,
 }
 
 
 def plain_or_injected(spec, target, tier, inject):
-    config = EngineConfig(target=target, typed_blocks=True, **TIERS[tier])
+    config = EngineConfig(target=target, tier=TIERS[tier])
     runner = BenchmarkRunner(spec, config)
     injector = (
         FaultInjector(plan_for(spec.name, seed=7, iterations=ITERATIONS))
@@ -68,9 +65,7 @@ def plain_or_injected(spec, target, tier, inject):
 
 
 def sampled(spec, target, tier):
-    engine = Engine(
-        EngineConfig(target=target, typed_blocks=True, **TIERS[tier])
-    )
+    engine = Engine(EngineConfig(target=target, tier=TIERS[tier]))
     engine.load(spec.source)
     engine.call_global("setup")
     for i in range(8):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .bytecode.compiler import compile_source
 from .bytecode.opcodes import FunctionInfo, Op
@@ -37,11 +37,7 @@ from .jit.deopt import (
     materialize_frame,
 )
 from .lang.errors import JSTypeError
-from .machine.blockjit import default_blockjit, default_typed_blocks
 from .machine.continuations import (
-    RUNG_CLASSIC,
-    RUNG_INTERP,
-    RUNG_NAMES,
     ContinuationTable,
     continuation_token,
     default_continuations,
@@ -49,6 +45,7 @@ from .machine.continuations import (
     resolve_redispatch_budget,
 )
 from .machine.executor import CostModel, Executor
+from .machine.ladder import DEGRADATION, Tier, default_tier
 from .regex.engine import Regex
 from .isa.base import TargetISA, resolve_target
 from .values.heap import (
@@ -68,7 +65,13 @@ class EngineConfig:
 
     target: str = "arm64"
     smi_bits: int = 31
-    enable_optimizer: bool = True
+    #: Executor-ladder cap (repro.machine.ladder): ``interp`` never
+    #: optimizes, ``opt`` runs optimized code on the step loop, then
+    #: fused ``block``s, ``typed`` block variants, ``lbbv`` block
+    #: versions and ``trace``s, each tier adding one feature.  Every tier
+    #: is bit-identical in results and simulated counters.  A Tier or
+    #: its name; None defers to REPRO_TIER (default ``trace``).
+    tier: Union[Tier, str, None] = None
     tierup_invocations: int = 8
     tierup_backedges: int = 1500
     #: check kinds short-circuited in the optimizer (paper Section III-B).
@@ -92,40 +95,12 @@ class EngineConfig:
     #: code (repro.analysis).  None defers to the process-wide default
     #: (on in the test suite, or via REPRO_VERIFY=1).
     verify: Optional[bool] = None
-    #: Block-compiled execution (repro.machine.blockjit): fuse basic
-    #: blocks into superinstruction closures with batched cycle charging.
-    #: Semantics, cycle totals, sample attributions and deopt pcs are
-    #: bit-identical to the step loop.  None defers to the process-wide
-    #: default (on, unless REPRO_BLOCKJIT=0).
-    blockjit: Optional[bool] = None
-    #: Typed block variants (repro.analysis.typeflow): compile fused
-    #: blocks whose checks are statically proven redundant or hoistable
-    #: without the check test, behind one hoisted entry guard per
-    #: assumed fact (generic block fallback on guard failure).  Results
-    #: and simulated counters stay bit-identical; only executed python
-    #: work shrinks.  None defers to REPRO_TYPED_BLOCKS (default on).
-    typed_blocks: Optional[bool] = None
-    #: Trace tier (repro.machine.tracejit): compile hot block chains —
-    #: across loop back-edges and across calls — into single closures
-    #: with per-segment side-exit checks, entered from the block driver
-    #: at their anchor blocks.  Bit-identical to the block tier and the
-    #: step loop by construction; requires ``blockjit``.  None defers to
-    #: REPRO_TRACEJIT (default on).
-    tracejit: Optional[bool] = None
-    #: Lazy basic block versioning (repro.machine.lbbv): maintain up to
-    #: MAX_VERSIONS runtime type-state-specialized versions per fused
-    #: block, keyed on the typeflow fact vocabulary, compiled lazily on
-    #: first execution of each state and chained version-to-version with
-    #: zero entry guards on proven edges.  Bit-identical to every other
-    #: tier by construction; requires ``blockjit`` and ``typed_blocks``.
-    #: None defers to REPRO_LBBV (default on).
-    lbbv: Optional[bool] = None
     #: Deoptless continuation dispatch (repro.machine.continuations):
     #: a failing check re-dispatches into a variant specialized for the
     #: observed type-state (the guard's fact negated, seeded from the
-    #: typeflow lattice) instead of bailing out, and storms descend a
-    #: per-rung degradation ladder instead of tripping one permanent
-    #: disable bit.  None defers to REPRO_CONTINUATIONS (default on).
+    #: typeflow lattice) instead of bailing out.  Orthogonal to ``tier``
+    #: and ignored at ``interp``.  None defers to REPRO_CONTINUATIONS
+    #: (default on).
     continuations: Optional[bool] = None
     #: cycle budget of the re-dispatch breaker: a consecutive-dispatch
     #: streak exceeding this falls back to the classic bailout path
@@ -137,6 +112,16 @@ class EngineConfig:
     #: None defers to REPRO_AUDIT; True audits at the default interval;
     #: an integer sets the mean interval in fused-block executions.
     audit: object = None
+
+    def resolved_tier(self) -> Tier:
+        """``tier``, with None resolved from REPRO_TIER."""
+        return default_tier() if self.tier is None else Tier.parse(self.tier)
+
+    def resolved_continuations(self) -> bool:
+        """``continuations``, with None resolved from REPRO_CONTINUATIONS."""
+        if self.continuations is None:
+            return default_continuations()
+        return bool(self.continuations)
 
 
 class SharedFunction:
@@ -186,9 +171,9 @@ class SharedFunction:
         #: counters; soft deopts are not strikes)
         self.deopts_by_kind: Dict[CheckKind, int] = {}
         self.optimization_disabled = False
-        #: degradation-ladder rung (repro.machine.continuations.RUNG_*);
-        #: each storm or budget exhaustion descends ONE rung, and only
-        #: the final rung sets ``optimization_disabled``.
+        #: row of the degradation ladder (repro.machine.ladder
+        #: .DEGRADATION); each storm or budget exhaustion descends ONE
+        #: row, and only the final row sets ``optimization_disabled``.
         self.tier_rung = 0
         #: per-rung strike counters keyed (check kind name, type-state
         #: token); cleared on every descent so each rung re-earns its
@@ -231,37 +216,11 @@ class Engine:
         self.heap = Heap(TagConfig(self.config.smi_bits))
         self.target: TargetISA = resolve_target(self.config.target)
         self.executor = Executor(self, self.config.cost_model)
-        self.executor.blockjit = (
-            default_blockjit()
-            if self.config.blockjit is None
-            else bool(self.config.blockjit)
-        )
-        self.executor.typed_blocks = (
-            default_typed_blocks()
-            if self.config.typed_blocks is None
-            else bool(self.config.typed_blocks)
-        )
-        # Imported lazily like the sentinel below: tracejit sits on top
-        # of blockjit, which the machine package loads on demand.
-        from .machine.tracejit import default_tracejit
-
-        self.executor.tracejit = self.executor.blockjit and (
-            default_tracejit()
-            if self.config.tracejit is None
-            else bool(self.config.tracejit)
-        )
-        # The version tier rides on both the block tier (driver slots)
-        # and the typed tier (fact vocabulary / guard codegen).
-        from .machine.lbbv import default_lbbv
-
-        self.executor.lbbv = (
-            self.executor.blockjit
-            and self.executor.typed_blocks
-            and (
-                default_lbbv()
-                if self.config.lbbv is None
-                else bool(self.config.lbbv)
-            )
+        self.tier = self.config.resolved_tier()
+        #: the plain-int tier stamped on code compiled at each
+        #: degradation rung: the engine cap, lowered by the rung's cap
+        self._rung_tiers = tuple(
+            int(min(self.tier, rung.tier)) for rung in DEGRADATION
         )
         # Imported lazily: repro.supervise pulls in repro.exec, which
         # imports this module back (cells -> engine).
@@ -271,20 +230,15 @@ class Engine:
         )
 
         audit_interval = resolve_audit_interval(self.config.audit)
-        if audit_interval is not None and self.executor.blockjit:
+        if audit_interval is not None and self.tier >= Tier.BLOCK:
             self.executor._audit = DivergenceSentinel(audit_interval)
-        continuations_on = (
-            default_continuations()
-            if self.config.continuations is None
-            else bool(self.config.continuations)
-        )
         self.continuations: Optional[ContinuationTable] = (
             ContinuationTable(
                 resolve_redispatch_budget()
                 if self.config.redispatch_budget is None
                 else float(self.config.redispatch_budget)
             )
-            if continuations_on and self.config.enable_optimizer
+            if self.config.resolved_continuations() and self.tier > Tier.INTERP
             else None
         )
         self.interpreter = Interpreter(self)
@@ -563,7 +517,7 @@ class Engine:
 
     def maybe_tier_up(self, shared: SharedFunction) -> None:
         if (
-            not self.config.enable_optimizer
+            self.tier is Tier.INTERP
             or shared.optimization_disabled
             or shared.code is not None
             or shared.native_impl is not None
@@ -610,11 +564,10 @@ class Engine:
             assert_lint_clean(code)
         shared.code = code
         self.compilations += 1
-        # Stamp the ladder rung the function sat on at compile time: the
-        # executor gates trace promotion / typed variants / fused blocks
-        # on it (a descent discards the code, so the stamp never goes
-        # stale on a live object).
-        code._tier_rung = shared.tier_rung
+        # Stamp the tier of the rung the function sits on: every
+        # executor gate reads it (a descent discards the code, so the
+        # stamp never goes stale on a live object).
+        code._tier = self._rung_tiers[shared.tier_rung]
         code.serial = len(self._code_objects)
         self._code_objects.append(code)
         self.charge(code.compile_cycles, "compile")
@@ -730,7 +683,7 @@ class Engine:
         cont = self.continuations
         assert cont is not None
         if (
-            shared.tier_rung >= RUNG_CLASSIC
+            not DEGRADATION[shared.tier_rung].continuations
             or shared.optimization_disabled
             or shared.index in cont.demoted
         ):
@@ -767,7 +720,8 @@ class Engine:
         and the re-optimization budget, and — only on reaching the final
         rung — disables optimization permanently.
         """
-        shared.tier_rung = min(shared.tier_rung + 1, RUNG_INTERP)
+        shared.tier_rung = min(shared.tier_rung + 1, len(DEGRADATION) - 1)
+        rung = DEGRADATION[shared.tier_rung]
         shared.rung_strikes.clear()
         shared.reopt_count = 0
         code._blocks = None
@@ -775,7 +729,7 @@ class Engine:
         code._typeflow = None
         # The version table is built over the dropped block table (its
         # driver slots literally hold the version entries), so it falls
-        # with it; rungs below RUNG_GENERIC never rebuild it.
+        # with it; rungs capped below ``lbbv`` never rebuild it.
         code._versions = None
         cont = self.continuations
         if cont is not None:
@@ -785,9 +739,9 @@ class Engine:
         else:
             self.budget_exhaustions += 1
         self.ladder_descents.append(
-            (shared.name, point.kind.name, cause, RUNG_NAMES[shared.tier_rung])
+            (shared.name, point.kind.name, cause, rung.name)
         )
-        if shared.tier_rung >= RUNG_INTERP:
+        if rung.tier is Tier.INTERP:
             shared.optimization_disabled = True
             record = (shared.name, point.kind.name)
             if cause == "storm":
@@ -905,7 +859,7 @@ class Engine:
             "budget_disabled": list(self.budget_disabled),
             "ladder_descents": list(self.ladder_descents),
             "tier_rungs": {
-                f.name: RUNG_NAMES[f.tier_rung]
+                f.name: DEGRADATION[f.tier_rung].name
                 for f in self.functions
                 if f.tier_rung > 0
             },

@@ -15,9 +15,9 @@ against null); the warm-cache speedup does not depend on core count.
 
 The ``executor`` section measures the simulator core directly —
 instructions retired per wall-second with the per-instruction step loop
-versus the block-compiled executor versus the trace tier
-(``EngineConfig(blockjit=..., tracejit=...)``, see
-:mod:`repro.machine.blockjit` / :mod:`repro.machine.tracejit`) — plus
+(tier ``opt``) versus the block-compiled executor (tier ``lbbv``, every
+block feature below traces) versus the trace tier (``trace``; see
+:mod:`repro.machine.ladder`) — plus
 the fused-block shape of the compiled code, so perf regressions in any
 tier are visible without the scheduler noise on top.  Per-benchmark
 block-vs-trace walls are recorded for the call-heavy pair (RAY, RICH),
@@ -41,6 +41,7 @@ from typing import Dict, List
 
 from ..engine import Engine, EngineConfig
 from ..experiments.common import SCALES, suite_for_scale
+from ..machine.ladder import Tier
 from ..suite.spec import get_benchmark
 from ..uarch.blockcost import block_shape_summary
 from .cache import DiskCache
@@ -99,13 +100,13 @@ def executor_section(iterations: int = 20, warmup: int = 10,
     }
     shape = None
     configs = (
-        ("step", EngineConfig(blockjit=False)),
-        ("block", EngineConfig(blockjit=True, tracejit=False)),
-        ("trace", EngineConfig(blockjit=True, tracejit=True)),
+        ("step", EngineConfig(tier=Tier.OPT)),
+        ("block", EngineConfig(tier=Tier.LBBV)),
+        ("trace", EngineConfig(tier=Tier.TRACE)),
         # The divergence sentinel at its default schedule over the full
-        # three-tier stack; its budget is <= 10 % over the plain trace
-        # tier (asserted by CI perf-smoke).
-        ("audit", EngineConfig(blockjit=True, tracejit=True, audit=True)),
+        # stack; its budget is <= 10 % over the plain trace tier
+        # (asserted by CI perf-smoke).
+        ("audit", EngineConfig(tier=Tier.TRACE, audit=True)),
     )
     walls: Dict[str, Dict[str, float]] = {}
     for label, config in configs:

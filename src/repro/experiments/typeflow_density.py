@@ -11,8 +11,8 @@ numbers per row:
   Fig. 1 metric),
 * ``residual`` — only the checks the analysis classifies *required*,
 * ``dyn elided %`` — the share of dynamic check executions the typed
-  block tier actually dropped behind hoisted entry guards, measured by
-  running the benchmark with ``typed_blocks`` enabled.
+  block variants and versions actually dropped behind hoisted entry
+  guards, measured by running the benchmark pinned to the top tier.
 
 Every row is cross-validated: a check statically classified redundant
 that dynamically deoptimized would be a soundness violation and raises.
@@ -25,6 +25,7 @@ from typing import Sequence
 
 from ..analysis.typeflow import analyze_typeflow, cross_validate
 from ..engine import EngineConfig
+from ..machine.ladder import Tier
 from ..suite import compile_benchmark
 from .common import ExperimentResult, resolve_scale, suite_for_scale
 
@@ -43,7 +44,7 @@ def run(scale="default", targets: Sequence[str] = ("arm64", "x64")) -> Experimen
     for spec in suite_for_scale(scale):
         row = {"benchmark": spec.name, "category": spec.category}
         for target in targets:
-            config = EngineConfig(target=target, typed_blocks=True)
+            config = EngineConfig(target=target, tier=Tier.TRACE)
             engine = compile_benchmark(spec, config, iterations=scale.iterations)
             codes = list(engine._code_objects)
             violations = cross_validate(codes, engine.check_trips)

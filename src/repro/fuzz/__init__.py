@@ -1,7 +1,7 @@
 """Generative speculation fuzzing: a differential correctness fleet.
 
-The suite's 31 frozen programs exercise the five speculative tiers
-(blockjit → typed blocks → traces → lbbv versions → deoptless
+The suite's 31 frozen programs exercise the speculative executor ladder
+(blocks → typed blocks → lbbv versions → traces, plus deoptless
 continuations) along a fixed set of paths.  This package turns the
 differential-oracle + crash-bundle machinery into a *continuous*
 correctness fleet:

@@ -124,12 +124,13 @@ class CodeObject:
         #: then routes this code object through the step tier for the
         #: rest of the process instead of crashing the run.
         self._supervise_demoted = False
-        #: degradation-ladder rung the owning function sat on when this
-        #: object was compiled (repro.machine.continuations): rung >= 2
-        #: compiles generic fused blocks only (no typed variants), the
-        #: executor refuses trace promotion above rung 0 and routes
-        #: rung >= RUNG_STEPPED objects through the step loop.
-        self._tier_rung = 0
+        #: executor tier (repro.machine.ladder.Tier, as a plain int) the
+        #: engine stamped at compile time: its own tier cap lowered by
+        #: the degradation rung the function sat on.  Every executor
+        #: gate reads it; hand-built code runs at the top tier
+        #: (``Tier.TRACE``, spelled as an int: the machine package
+        #: imports this module).
+        self._tier = 5
         #: Allocator pool metadata recorded for the static linter: a deopt
         #: location naming a register outside these ranges points at a
         #: scratch register, which check-condition emission may clobber.

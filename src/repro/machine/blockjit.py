@@ -48,14 +48,14 @@ this partition against the label/branch structure of the code.
 Tables are cached on ``CodeObject._blocks`` next to ``_decoded``; code
 objects are immutable so the cache is never invalidated, but it is
 rebuilt if a different executor runs the code (closures bind executor
-state).  ``REPRO_BLOCKJIT=0`` or ``EngineConfig(blockjit=False)`` falls
-back to the step loop, which remains the timing/sampling reference.
+state).  Tiers below ``block`` (``REPRO_TIER=opt``, see
+:mod:`repro.machine.ladder`) run the step loop, which remains the
+timing/sampling reference.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 from math import copysign, inf, isinf, isnan
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
@@ -118,6 +118,7 @@ from .dispatch import (
     _sdiv,
     decode,
 )
+from .ladder import Tier, default_tier
 
 if TYPE_CHECKING:
     from ..jit.codegen import CodeObject
@@ -134,23 +135,13 @@ _COMPILED_SOURCES: Dict[str, object] = {}
 
 
 def default_blockjit() -> bool:
-    """Process-wide default for block-compiled execution (REPRO_BLOCKJIT)."""
-    return os.environ.get("REPRO_BLOCKJIT", "1").lower() not in (
-        "0", "false", "off", "no",
-    )
+    """Does the process-wide tier include fused blocks?"""
+    return default_tier() >= Tier.BLOCK
 
 
 def default_typed_blocks() -> bool:
-    """Process-wide default for typed block variants (REPRO_TYPED_BLOCKS).
-
-    Typed variants drop statically-proven checks
-    (:mod:`repro.analysis.typeflow`) behind hoisted entry guards; they
-    are bit-identical to the generic tier by construction, so they
-    default on wherever block mode itself is on.
-    """
-    return os.environ.get("REPRO_TYPED_BLOCKS", "1").lower() not in (
-        "0", "false", "off", "no",
-    )
+    """Does the process-wide tier include typed block variants?"""
+    return default_tier() >= Tier.TYPED
 
 
 def block_spans(instrs) -> List[Tuple[int, int]]:
@@ -421,14 +412,7 @@ class _BlockCompiler:
             for _start, end in table.spans
         ]
         self.plans: Dict[int, object] = {}
-        if (
-            getattr(self.executor, "typed_blocks", False)
-            and not self.flags_live
-            # Typed variants are a privilege of the top two ladder rungs
-            # (repro.machine.continuations): a function demoted to
-            # RUNG_GENERIC or below compiles generic fused blocks only.
-            and getattr(self.code, "_tier_rung", 0) < 2
-        ):
+        if self.code._tier >= Tier.TYPED and not self.flags_live:
             # Imported lazily: typeflow itself imports block_spans from
             # this module at load time.
             from ..analysis.typeflow import typed_plans

@@ -11,24 +11,19 @@ keyed by the same facts :mod:`repro.analysis.typeflow` proves for the
 typed block variants, so its ``TypedBlockPlan`` lattice pre-seeds the
 variant table with every guard state the static analysis already named.
 
-This module owns the *policy* state of that mechanism:
-
-* the :class:`ContinuationTable` — per-``(function, dispatch pc,
-  type-state token)`` variant registry with lazy first-miss compilation,
-  seeded entries from the typeflow lattice, eviction scoped to the
-  storming token (a storm on one type-state must not evict variants
-  that never tripped), and a cycle-budget re-dispatch breaker proving
-  livelock-freedom;
-* the **degradation ladder** rung constants — the graceful replacement
-  for the old all-or-nothing ``optimization_disabled`` cliff.  Each
-  storm or budget exhaustion steps the function down ONE rung (dropping
-  the artifacts of the tier it leaves behind) instead of disabling
-  everything; only the final rung is the permanent interpreter.
+This module owns the *policy* state of that mechanism: the
+:class:`ContinuationTable` — per-``(function, dispatch pc, type-state
+token)`` variant registry with lazy first-miss compilation, seeded
+entries from the typeflow lattice, eviction scoped to the storming
+token (a storm on one type-state must not evict variants that never
+tripped), and a cycle-budget re-dispatch breaker proving
+livelock-freedom.  Which degradation-ladder rungs may still dispatch is
+a column of the table in :mod:`repro.machine.ladder`.
 
 The *mechanism* — deciding dispatch vs. classic bailout, charging
 cycles, transferring register/spill state — lives in
 :meth:`repro.engine.Engine._deoptimize`, which is reached with
-bit-identical state from all three executor tiers, so continuation
+bit-identical state from every executor tier, so continuation
 behavior is deterministic and tier-invariant by construction (the
 186-config cross-tier sweep stays bit-identical).
 
@@ -45,13 +40,6 @@ import os
 from typing import Dict, List, Optional, Set, Tuple
 
 __all__ = [
-    "RUNG_FULL",
-    "RUNG_NOTRACE",
-    "RUNG_GENERIC",
-    "RUNG_CLASSIC",
-    "RUNG_STEPPED",
-    "RUNG_INTERP",
-    "RUNG_NAMES",
     "DISPATCH_CYCLES",
     "CONTINUATION_COMPILE_CYCLES",
     "ContinuationTable",
@@ -60,32 +48,6 @@ __all__ = [
     "fact_holds",
     "resolve_redispatch_budget",
 ]
-
-# ---------------------------------------------------------------------------
-# Degradation ladder
-# ---------------------------------------------------------------------------
-
-#: all tiers live: traces, typed variants, continuation dispatch
-RUNG_FULL = 0
-#: trace tier dropped; typed variants + continuations remain
-RUNG_NOTRACE = 1
-#: typed variants dropped; generic fused blocks + continuations remain
-RUNG_GENERIC = 2
-#: continuation dispatch off; generic fused blocks, classic deopt only
-RUNG_CLASSIC = 3
-#: fused blocks dropped; per-instruction step loop only
-RUNG_STEPPED = 4
-#: permanent interpreter (the only rung that sets optimization_disabled)
-RUNG_INTERP = 5
-
-RUNG_NAMES = (
-    "full",
-    "no-trace",
-    "generic-blocks",
-    "classic-deopt",
-    "stepped",
-    "interpreter",
-)
 
 #: simulated cycles charged per dispatched re-entry (vs. the 250-cycle
 #: interpreter stack-frame conversion a classic bailout pays): the

@@ -93,8 +93,14 @@ from .dispatch import (
     K_TSTI_MEM,
     decode,
 )
+from .ladder import Tier
 
 _UINT32 = 0xFFFFFFFF
+
+#: ladder gates as plain ints, the type of ``CodeObject._tier``
+_BLOCK = int(Tier.BLOCK)
+_LBBV = int(Tier.LBBV)
+_TRACE = int(Tier.TRACE)
 
 
 class CostModel:
@@ -283,25 +289,6 @@ class Executor:
         #: While trips are pending, the block executor routes every block
         #: through its stepped tier so the trip lands on the exact branch.
         self.forced_deopt_trips = 0
-        #: block-compiled execution (repro.machine.blockjit); wired by the
-        #: engine from EngineConfig.blockjit / REPRO_BLOCKJIT.
-        self.blockjit = False
-        #: typed block variants (repro.analysis.typeflow plans consumed by
-        #: repro.machine.blockjit); wired by the engine from
-        #: EngineConfig.typed_blocks / REPRO_TYPED_BLOCKS.
-        self.typed_blocks = False
-        #: trace tier (repro.machine.tracejit): hot block chains compiled
-        #: into loop-spanning, call-chaining closures.  Wired by the
-        #: engine from EngineConfig.tracejit / REPRO_TRACEJIT; only
-        #: meaningful while ``blockjit`` is also set.
-        self.tracejit = False
-        #: lazy basic block versioning (repro.machine.lbbv): runtime
-        #: type-state-specialized block versions with guard-free
-        #: chaining.  Wired by the engine from EngineConfig.lbbv /
-        #: REPRO_LBBV; only meaningful while ``blockjit`` and
-        #: ``typed_blocks`` are also set (versions are keyed on the
-        #: typed tier's fact vocabulary).
-        self.lbbv = False
         #: python-level typed-tier counters (never part of ExecStats or
         #: the simulated cycle model): [branch checks elided, condition
         #: instructions elided or folded, jsldrsmi tag tests elided,
@@ -335,23 +322,18 @@ class Executor:
 
         Raises :class:`DeoptSignal` when a deoptimization check fires.
 
-        Dispatches to the block-compiled executor when enabled; the
-        per-instruction step loop remains the semantic reference and the
-        only tier that supports tracing for the pipeline models.  A code
-        object demoted by the divergence sentinel
-        (:mod:`repro.supervise.sentinel`) stays on the step tier for the
-        rest of the process.
+        The executor is chosen by the tier the engine stamped on the
+        code object (:mod:`repro.machine.ladder`): the trace driver at
+        ``trace``, the block driver from ``block`` up, the step loop
+        below.  The per-instruction step loop remains the semantic
+        reference and the only tier that supports tracing for the
+        pipeline models.  A code object demoted by the divergence
+        sentinel (:mod:`repro.supervise.sentinel`) stays on the step
+        tier for the rest of the process.
         """
-        rung = code._tier_rung
-        if (
-            self.blockjit
-            and self.trace is None
-            and not code._supervise_demoted
-            and rung < 4  # continuations.RUNG_STEPPED: step loop only
-        ):
-            # Trace promotion is a rung-0 privilege: the first ladder
-            # descent (continuations.RUNG_NOTRACE) already drops it.
-            if self.tracejit and rung == 0:
+        tier = code._tier
+        if tier >= _BLOCK and self.trace is None and not code._supervise_demoted:
+            if tier == _TRACE:
                 from .tracejit import run_traced
 
                 return run_traced(self, code, args, this_word)
@@ -378,7 +360,7 @@ class Executor:
         table = code._blocks
         if table is None or table.executor is not self:
             table = code._blocks = compile_blocks(code, self)
-        if self.lbbv:
+        if code._tier >= _LBBV:
             versions = code._versions
             if versions is None or versions.table is not table:
                 from .lbbv import attach_versions

@@ -49,17 +49,17 @@ request returns the generic/base block id and counts the event, which
 bounds the version population at ``MAX_VERSIONS × n_blocks`` and makes
 specialization provably terminating (tests assert the cap).
 
-``REPRO_LBBV`` turns the tier off; it defaults on wherever typed blocks
-are on (versioning is meaningless without the typed vocabulary, and the
-executor gates it accordingly).
+Versioning sits on the ``lbbv`` rung of :mod:`repro.machine.ladder`,
+directly above ``typed``: it is meaningless without the typed fact
+vocabulary, and code stamped below ``lbbv`` never builds a table.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from .blockjit import _COMPILED_SOURCES, _BlockCompiler
+from .ladder import Tier, default_tier
 
 if TYPE_CHECKING:
     from ..jit.codegen import CodeObject
@@ -71,10 +71,8 @@ MAX_VERSIONS = 4
 
 
 def default_lbbv() -> bool:
-    """Process-wide default for lazy block versioning (REPRO_LBBV)."""
-    return os.environ.get("REPRO_LBBV", "1").lower() not in (
-        "0", "false", "off", "no",
-    )
+    """Does the process-wide tier include block versioning?"""
+    return default_tier() >= Tier.LBBV
 
 
 def _poison(regs, fregs, frame, special, heap, cycles):
@@ -178,13 +176,10 @@ class VersionTable:
         self._compiler: Optional[_VersionCompiler] = None
         self._ctx = None
         self.active = (
-            getattr(executor, "lbbv", False)
-            and getattr(executor, "blockjit", False)
-            and getattr(executor, "typed_blocks", False)
+            code._tier >= Tier.LBBV
             and not table.flags_live
             and not table.demoted
-            and getattr(code, "_tier_rung", 0) < 2
-            and not getattr(code, "_supervise_demoted", False)
+            and not code._supervise_demoted
         )
         if self.active:
             from ..analysis.typeflow import version_analysis

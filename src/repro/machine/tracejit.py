@@ -46,16 +46,16 @@ the whole table — blocks *and* traces — on any mismatch.  Traces whose
 chain spans a call are not auditable (same rule as call blocks), and a
 demoted or storm-disabled code object drops its traces with its blocks.
 
-Degradation ladder (PR 8, :mod:`repro.machine.continuations`): the
-trace tier only runs at the ladder's full rung — the executor routes
-``code._tier_rung >= 1`` ("no-trace" and below) straight to the block
-or step driver, and a rung descent drops ``code._traces`` with the
-blocks, so a storming function sheds this tier first instead of losing
-everything at once.
+Executor ladder (:mod:`repro.machine.ladder`): traces are the top
+tier, on top of block versioning.  The executor runs the trace driver
+only for code stamped ``trace``; the degradation ladder's first descent
+("no-trace") drops ``code._traces`` with the blocks and recompiles at
+``lbbv``, so a storming function sheds this tier first instead of
+losing everything at once.  ``REPRO_TIER=lbbv`` turns the tier off for
+a whole engine.
 
-``REPRO_TRACEJIT=0`` / ``EngineConfig(tracejit=False)`` falls back to
-the two-tier block executor.  ``REPRO_TRACEJIT_BUDGET`` (edge events
-before promotion), ``REPRO_TRACEJIT_HOT`` (edge heat threshold) and
+``REPRO_TRACEJIT_BUDGET`` (edge events before promotion),
+``REPRO_TRACEJIT_HOT`` (edge heat threshold) and
 ``REPRO_TRACEJIT_ENTRY`` (activation count that arms an entry-anchored
 trace) tune formation; tests pin them small so traces form in smoke
 runs.
@@ -81,6 +81,7 @@ from .blockjit import (
     _BlockCompiler,
     compile_blocks,
 )
+from .ladder import Tier, default_tier
 
 if TYPE_CHECKING:
     from ..jit.codegen import CodeObject
@@ -96,10 +97,8 @@ MAX_TRACES = 10
 
 
 def default_tracejit() -> bool:
-    """Process-wide default for the trace tier (REPRO_TRACEJIT)."""
-    return os.environ.get("REPRO_TRACEJIT", "1").lower() not in (
-        "0", "false", "off", "no",
-    )
+    """Does the process-wide tier include traces?"""
+    return default_tier() >= Tier.TRACE
 
 
 def _env_int(name: str, default: int) -> int:
@@ -738,15 +737,17 @@ def run_traced(ex: "Executor", code: "CodeObject", args, this_word: int):
         table.traces = tt
     if tt.disabled:
         return ex._run_blocks(code, args, this_word)
+    # Traces sit above block versioning on the ladder: the version
+    # table is always attached here.
     versions = code._versions
-    if ex.lbbv and (versions is None or versions.table is not table):
+    if versions is None or versions.table is not table:
         from .lbbv import attach_versions
 
         versions = attach_versions(code, table, ex)
     # Version driver entries live past the anchor range; ``vmap``
     # translates them back to base block ids for anchor lookup and edge
     # counting, so trace formation sees the same base CFG either way.
-    vmap = versions.base_of if versions is not None else None
+    vmap = versions.base_of
     regs: List[int] = [0] * code.target.gpr_count
     fregs: List[float] = [0.0] * code.target.fpr_count
     frame: List[object] = [0] * max(1, code.stack_slots)
@@ -829,7 +830,7 @@ def run_traced(ex: "Executor", code: "CodeObject", args, this_word: int):
             if nbid < 0:
                 return ex.ret_value
             if counting:
-                if vmap is not None and nbid < len(vmap):
+                if nbid < len(vmap):
                     key = (vmap[bid], vmap[nbid])
                 else:
                     key = (bid, nbid)
@@ -861,7 +862,7 @@ def run_traced(ex: "Executor", code: "CodeObject", args, this_word: int):
         if nbid < 0:
             return ex.ret_value
         if counting:
-            if vmap is not None and nbid < len(vmap):
+            if nbid < len(vmap):
                 key = (vmap[bid], vmap[nbid])
             else:
                 key = (bid, nbid)

@@ -14,8 +14,8 @@ the live engine:
   generalization, call-target rebinding, assumption invalidation, and
   forced spurious deopts);
 * :mod:`~repro.resilience.oracle` — a differential oracle asserting the
-  post-deopt results and heap are bitwise-identical to a pure-interpreter
-  run under the same fault plan;
+  post-deopt results and heap of every executor-ladder rung are
+  bitwise-identical to a pure-interpreter run under the same fault plan;
 * ``python -m repro.resilience`` — the chaos CLI sweeping the injector
   across the whole suite on both ISAs.
 
@@ -24,7 +24,7 @@ quarantine, ``--keep-going``) lives in :mod:`repro.exec`.
 """
 
 from .faults import Fault, FaultInjector, FaultKind, FaultPlan, plan_for
-from .oracle import ChaosOutcome, canonical_value, differential_run, snapshot_globals
+from .oracle import ChaosOutcome, canonical_value, matrix_run, snapshot_globals
 
 __all__ = [
     "ChaosOutcome",
@@ -33,7 +33,7 @@ __all__ = [
     "FaultKind",
     "FaultPlan",
     "canonical_value",
-    "differential_run",
+    "matrix_run",
     "plan_for",
     "snapshot_globals",
 ]

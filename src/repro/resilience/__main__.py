@@ -2,8 +2,9 @@
 
 Runs every benchmark under its canonical :func:`~repro.resilience.faults.plan_for`
 fault plan on every requested ISA, and checks the differential oracle —
-post-fault results and heap must be bitwise-identical to a pure-interpreter
-run under the same plan.
+post-fault results and heap of the full default stack (the ``deoptless``
+rung) must be bitwise-identical to a pure-interpreter run under the same
+plan.
 
     python -m repro.resilience                 # full sweep, arm64 + x64
     python -m repro.resilience --smoke         # quick CI slice
@@ -22,25 +23,31 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import List, Tuple
 
 from ..suite.spec import all_benchmarks
-from .oracle import ChaosOutcome, differential_run
+from .faults import plan_for
+from .oracle import CHAOS_TIERS, MatrixOutcome, matrix_run, resolve_benchmark
 
 #: fast slice exercising every fault kind across categories (CI smoke job)
 SMOKE_BENCHMARKS = ("FIB", "NBODY", "SPMV-CSR-SMI", "CRC32", "JSONLIKE", "RICH")
 
 
-def _run_case(case: Tuple[str, str, int, int]) -> ChaosOutcome:
+def _run_case(case: Tuple[str, str, int, int]) -> MatrixOutcome:
     benchmark, target, seed, iterations = case
-    return differential_run(benchmark, target, seed=seed, iterations=iterations)
+    return matrix_run(
+        resolve_benchmark(benchmark), target,
+        plan=plan_for(benchmark, seed, iterations),
+        iterations=iterations, tiers=CHAOS_TIERS,
+    )
 
 
-def _format_row(out: ChaosOutcome) -> str:
+def _format_row(out: MatrixOutcome) -> str:
     verdict = "ok" if out.ok else "FAIL"
+    top = out.tiers[CHAOS_TIERS[-1].name]
     return (
         f"{out.benchmark:<16} {out.target:<6} {verdict:<5} "
-        f"eager={out.eager_deopts:<3} lazy={out.lazy_deopts:<3} "
-        f"disp={out.continuation_dispatches:<3} "
-        f"storms={out.storms_detected} reopt<={out.max_reopt_count} "
-        f"faults={len(out.faults_applied)}"
+        f"eager={top.eager_deopts:<3} lazy={top.lazy_deopts:<3} "
+        f"disp={top.continuation_dispatches:<3} "
+        f"storms={top.storms_detected} reopt<={top.max_reopt_count} "
+        f"faults={len(top.faults_applied)}"
     )
 
 
@@ -109,16 +116,17 @@ def main(argv: List[str] | None = None) -> int:
     else:
         outcomes = [_run_case(case) for case in cases]
 
-    failures: List[ChaosOutcome] = []
-    no_deopt: List[ChaosOutcome] = []
+    failures: List[MatrixOutcome] = []
+    no_deopt: List[MatrixOutcome] = []
     for out in outcomes:
+        top = out.tiers[CHAOS_TIERS[-1].name]
         print(_format_row(out))
         if args.verbose:
-            for iteration, kind, detail in out.faults_applied:
+            for iteration, kind, detail in top.faults_applied:
                 print(f"    @{iteration:<3} {kind}: {detail}")
         if not out.ok:
             failures.append(out)
-        elif out.eager_deopts == 0:
+        elif top.eager_deopts == 0:
             no_deopt.append(out)
 
     total = len(outcomes)
@@ -135,11 +143,10 @@ def main(argv: List[str] | None = None) -> int:
             print(f"  {out.benchmark} [{out.target}]")
     for out in failures:
         print(f"\nFAIL {out.benchmark} [{out.target}] seed={out.seed}")
-        if out.error:
-            print(f"  error: {out.error}")
         for line in out.mismatches:
             print(f"  mismatch: {line}")
-        for iteration, kind, detail in out.faults_applied:
+        top = out.tiers[CHAOS_TIERS[-1].name]
+        for iteration, kind, detail in top.faults_applied:
             print(f"  fault @{iteration}: {kind}: {detail}")
     return 1 if failures else 0
 

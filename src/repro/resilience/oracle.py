@@ -3,19 +3,20 @@
 Deoptimization is only correct if it is *invisible*: a run that tiers up,
 speculates, takes injected faults, deopts and re-optimizes must produce
 exactly the results of an interpreter-only run under the same fault plan.
-:func:`differential_run` executes the classic pairwise comparison
-(optimized vs. pure interpreter); :func:`matrix_run` generalizes it to
-the full :data:`EXECUTOR_LADDER` — pure interpreter, optimizer with
-every machine executor off, blockjit, +typed blocks, +traces, +lbbv
-versions, and everything with deoptless dispatch — with a per-tier
-:class:`ChaosOutcome` breakdown.  Both compare
+:func:`matrix_run` runs one program under one plan on any rungs of the
+:data:`EXECUTOR_LADDER` — every :class:`~repro.machine.ladder.Tier` from
+the pure interpreter up to traces, plus ``deoptless`` (the top tier with
+continuation dispatch) — with a per-rung :class:`ChaosOutcome`
+breakdown.  The chaos sweep compares just :data:`CHAOS_TIERS`, the
+interpreter against the full default stack; the fuzz fleet runs the
+whole ladder.  The matrix compares
 
 * every iteration's ``run()`` result,
 * a canonical snapshot of all user-defined globals after the run, and
-* (matrix only) the eager-deopt event stream across the tiers that
-  share the classic bailout discipline — ``opt`` through ``lbbv`` are
-  bit-identical by construction, while ``deoptless`` keeps optimized
-  code installed on trips so its stream may legitimately differ
+* the eager-deopt event stream across the rungs that share the classic
+  bailout discipline — ``opt`` through ``trace`` are bit-identical by
+  construction, while ``deoptless`` keeps optimized code installed on
+  trips so its stream may legitimately differ
 
 under a **bitwise** notion of equality for numbers: values are compared as
 IEEE-754 bit patterns (so ``-0.0 != 0.0`` and NaN payloads must agree),
@@ -32,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..engine import Engine, EngineConfig
 from ..jit.checks import DeoptCategory, category_of
+from ..machine.ladder import Tier
 from ..suite.runner import BenchmarkRunner, NoiseModel, RunResult
 from ..suite.spec import BenchmarkSpec, get_benchmark
 from ..values.maps import InstanceType
@@ -131,62 +133,51 @@ def snapshot_globals(engine: Engine) -> Dict[str, str]:
 class TierSpec:
     """One rung of the executor ladder as an engine-config transform.
 
-    ``None`` flags defer to the base config (and its REPRO_* env
-    defaults); explicit booleans pin the executor on or off so a ladder
+    Pins the tier and the continuations switch explicitly, so a ladder
     run is insensitive to the ambient environment.
     """
 
     name: str
-    #: participates in cross-tier deopt-stream comparison?  True for the
-    #: tiers sharing the classic bailout discipline (bit-identical eager
-    #: deopt streams by construction); False for the interpreter (which
-    #: never deopts) and for deoptless dispatch (which absorbs trips
-    #: instead of bailing, legitimately changing the stream).
-    compare_deopts: bool = True
-    optimizer: bool = True
-    blockjit: Optional[bool] = None
-    typed_blocks: Optional[bool] = None
-    tracejit: Optional[bool] = None
-    lbbv: Optional[bool] = None
-    continuations: Optional[bool] = None
+    tier: Tier
+    continuations: bool = False
+
+    @property
+    def optimizer(self) -> bool:
+        return self.tier > Tier.INTERP
+
+    @property
+    def compare_deopts(self) -> bool:
+        """Does this rung share the classic bailout discipline?  Not the
+        interpreter (which never deopts) and not deoptless dispatch
+        (which absorbs trips instead of bailing, legitimately changing
+        the eager-deopt stream)."""
+        return self.optimizer and not self.continuations
 
     def apply(self, base: EngineConfig) -> EngineConfig:
-        overrides: Dict[str, object] = {"enable_optimizer": self.optimizer}
-        for flag in ("blockjit", "typed_blocks", "tracejit", "lbbv", "continuations"):
-            value = getattr(self, flag)
-            if value is not None:
-                overrides[flag] = value
-        return dataclasses.replace(base, **overrides)  # type: ignore[arg-type]
+        return dataclasses.replace(
+            base, tier=self.tier, continuations=self.continuations
+        )
 
 
-#: The full executor ladder, weakest to strongest speculation.  Feature
-#: dependencies (typed requires blockjit; lbbv requires blockjit+typed)
-#: are satisfied by construction of each rung.
-EXECUTOR_LADDER: Tuple[TierSpec, ...] = (
-    TierSpec("interp", compare_deopts=False, optimizer=False,
-             blockjit=False, typed_blocks=False, tracejit=False,
-             lbbv=False, continuations=False),
-    TierSpec("opt", blockjit=False, typed_blocks=False, tracejit=False,
-             lbbv=False, continuations=False),
-    TierSpec("block", blockjit=True, typed_blocks=False, tracejit=False,
-             lbbv=False, continuations=False),
-    TierSpec("typed", blockjit=True, typed_blocks=True, tracejit=False,
-             lbbv=False, continuations=False),
-    TierSpec("trace", blockjit=True, typed_blocks=True, tracejit=True,
-             lbbv=False, continuations=False),
-    TierSpec("lbbv", blockjit=True, typed_blocks=True, tracejit=True,
-             lbbv=True, continuations=False),
-    TierSpec("deoptless", compare_deopts=False, blockjit=True,
-             typed_blocks=True, tracejit=True, lbbv=True, continuations=True),
-)
+#: The full executor ladder, weakest to strongest speculation: one rung
+#: per :class:`Tier`, then ``deoptless`` (the top tier with continuation
+#: dispatch, the orthogonal axis).
+EXECUTOR_LADDER: Tuple[TierSpec, ...] = tuple(
+    TierSpec(tier.label, tier) for tier in Tier
+) + (TierSpec("deoptless", Tier.TRACE, continuations=True),)
 
 #: name -> TierSpec lookup for CLI --targets parsing
 LADDER_BY_NAME: Dict[str, TierSpec] = {tier.name: tier for tier in EXECUTOR_LADDER}
 
+#: the chaos sweep's comparison: the default stack against the interpreter
+CHAOS_TIERS: Tuple[TierSpec, ...] = (
+    LADDER_BY_NAME["interp"], LADDER_BY_NAME["deoptless"],
+)
+
 
 @dataclass
 class ChaosOutcome:
-    """One benchmark × target × plan chaos verdict."""
+    """One rung's verdict on one benchmark × target × plan."""
 
     benchmark: str
     target: str
@@ -203,11 +194,6 @@ class ChaosOutcome:
     mismatches: List[str] = field(default_factory=list)
     error: Optional[str] = None
     resilience: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def recovered(self) -> bool:
-        """Did the optimized run survive every injected fault?"""
-        return self.error is None
 
 
 def _chaos_run(
@@ -230,12 +216,13 @@ def _capture_oracle_bundle(
     target: str,
     plan: "FaultPlan",
     iterations: int,
-    mismatches: Optional[List[str]] = None,
-    error: Optional[str] = None,
+    tiers: Tuple[TierSpec, ...],
+    mismatches: List[str],
 ) -> None:
-    """Crash-forensics record for an oracle failure: the fault plan plus
-    benchmark/seed is everything ``repro.supervise replay`` needs to
-    re-run the differential comparison deterministically."""
+    """Crash-forensics record for an oracle failure: the fault plan,
+    benchmark/seed and the compared rungs are everything
+    ``repro.supervise replay`` needs to re-run the same comparison
+    deterministically."""
     from ..supervise.bundles import capture_bundle, serialize_plan
 
     capture_bundle("oracle-failure", {
@@ -244,8 +231,8 @@ def _capture_oracle_bundle(
         "iterations": iterations,
         "seed": plan.seed,
         "fault_plan": serialize_plan(plan),
-        "mismatches": list(mismatches or []),
-        "error": error,
+        "tiers": [tier.name for tier in tiers],
+        "mismatches": mismatches,
     })
 
 
@@ -264,94 +251,6 @@ def resolve_benchmark(name: str) -> BenchmarkSpec:
         if spec is None:
             raise KeyError(name) from None
         return spec
-
-
-def differential_run(
-    benchmark: str,
-    target: str,
-    plan: Optional[FaultPlan] = None,
-    seed: int = 0,
-    iterations: int = 30,
-) -> ChaosOutcome:
-    """Run one benchmark under a fault plan on the optimizing engine and on
-    the interpreter, and compare bitwise."""
-    from .faults import plan_for
-
-    spec = resolve_benchmark(benchmark)
-    if plan is None:
-        plan = plan_for(benchmark, seed, iterations)
-
-    try:
-        opt_result, opt_engine, injector = _chaos_run(
-            spec, EngineConfig(target=target), plan, iterations
-        )
-    except Exception as failure:  # recovery failure IS the signal here
-        _capture_oracle_bundle(
-            benchmark, target, plan, iterations,
-            error=f"{type(failure).__name__}: {failure}",
-        )
-        return ChaosOutcome(
-            benchmark,
-            target,
-            plan.seed,
-            ok=False,
-            eager_deopts=0,
-            lazy_deopts=0,
-            storms_detected=0,
-            max_reopt_count=0,
-            error=f"{type(failure).__name__}: {failure}",
-        )
-    ref_result, ref_engine, _ = _chaos_run(
-        spec,
-        EngineConfig(target=target, enable_optimizer=False),
-        plan,
-        iterations,
-    )
-
-    mismatches: List[str] = []
-    assert opt_result.values is not None and ref_result.values is not None
-    for index, (got, want) in enumerate(zip(opt_result.values, ref_result.values)):
-        if canonical_value(got) != canonical_value(want):
-            mismatches.append(
-                f"iteration {index}: optimized {got!r} != interpreter {want!r}"
-            )
-            if len(mismatches) >= _MAX_MISMATCHES:
-                break
-    if len(mismatches) < _MAX_MISMATCHES:
-        opt_heap = snapshot_globals(opt_engine)
-        ref_heap = snapshot_globals(ref_engine)
-        for name in sorted(set(opt_heap) | set(ref_heap)):
-            if opt_heap.get(name) != ref_heap.get(name):
-                mismatches.append(f"global {name!r} diverged post-run")
-                if len(mismatches) >= _MAX_MISMATCHES:
-                    break
-
-    if mismatches:
-        _capture_oracle_bundle(
-            benchmark, target, plan, iterations, mismatches=mismatches
-        )
-    stats = opt_engine.resilience_stats()
-    eager = sum(
-        1
-        for event in opt_engine.deopt_events
-        if category_of(event.kind) != DeoptCategory.SOFT
-    )
-    return ChaosOutcome(
-        benchmark,
-        target,
-        plan.seed,
-        ok=not mismatches,
-        eager_deopts=eager,
-        lazy_deopts=opt_engine.lazy_deopts,
-        storms_detected=opt_engine.storms_detected,
-        max_reopt_count=int(stats["max_reopt_count"]),  # type: ignore[arg-type]
-        continuation_dispatches=int(
-            stats["continuation_dispatches"]  # type: ignore[arg-type]
-        ),
-        faults_applied=list(injector.applied),
-        mismatches=mismatches,
-        resilience=stats,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +275,7 @@ def deopt_stream(engine: Engine) -> List[Tuple[int, str, str, int, int]]:
 
 @dataclass
 class MatrixOutcome:
-    """Verdict of one program run through the full executor ladder."""
+    """Verdict of one program run through rungs of the executor ladder."""
 
     benchmark: str
     target: str
@@ -426,12 +325,15 @@ def matrix_run(
     capture: bool = True,
     tamper: Optional[ValueTamper] = None,
 ) -> MatrixOutcome:
-    """Run ``spec`` through every ladder tier and demand equivalence.
+    """Run ``spec`` through the ``tiers`` rungs (by default the whole
+    ladder) and demand equivalence.
 
     The first tier is the baseline: every other tier must match its
     per-iteration values and post-run globals snapshot bitwise, and all
     ``compare_deopts`` tiers must additionally agree on the eager-deopt
-    event stream among themselves.  Accepts a :class:`BenchmarkSpec`
+    event stream among themselves.  A failure captures an
+    ``oracle-failure`` bundle naming the compared rungs, which replay
+    re-runs.  Accepts a :class:`BenchmarkSpec`
     directly so generated (unregistered) programs can be run; pass
     ``capture=False`` when the caller owns bundle capture (the fuzz
     oracle records richer ``fuzz-divergence`` bundles instead).
@@ -528,7 +430,7 @@ def matrix_run(
     )
     if not ok and capture:
         _capture_oracle_bundle(
-            spec.name, target, plan, iterations,
-            mismatches=outcome.mismatches[:_MAX_MISMATCHES],
+            spec.name, target, plan, iterations, tiers,
+            outcome.mismatches[:_MAX_MISMATCHES],
         )
     return outcome

@@ -174,6 +174,8 @@ class BenchmarkRunner:
                     kind.name for kind in self.config.removed_checks
                 ),
                 "emit_check_branches": self.config.emit_check_branches,
+                "tier": self.config.resolved_tier().label,
+                "continuations": self.config.resolved_continuations(),
             },
             fault_plan=serialize_plan(getattr(injector, "plan", None)),
         )

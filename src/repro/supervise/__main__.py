@@ -9,18 +9,18 @@
 deterministically (exit 0 when the failure reproduces, 1 when it does
 not) and ``--minimize`` shrinks the reproducer to minimal iterations
 and fault-plan entries.  ``inject`` is the CI/test driver for the
-divergence sentinel: it arms the ``REPRO_CHAOS_AUDIT`` corruption hook,
-runs one benchmark under audit, and asserts demotion plus bundle
-capture — printing the bundle path on its last stdout line.  With
-``--trace`` the corruption lands in a compiled *trace* shadow
-(``REPRO_CHAOS_TRACE``) instead, asserting the trace tier demotes too.
-With ``--continuation`` the chaos lands in a *continuation dispatch*
-audit (``REPRO_CHAOS_CONT``): the run executes under its canonical
-fault plan so deopts actually dispatch, the Nth dispatch audit is
-forced to report the guard fact as still holding, and the sentinel
-must refuse it, poison the function's continuations and capture a
+divergence sentinel: it arms the ``REPRO_CHAOS_AUDIT`` corruption hook
+(``block`` site), runs one benchmark under audit, and asserts demotion
+plus bundle capture — printing the bundle path on its last stdout line.
+With ``--trace`` the corruption lands in a compiled *trace* shadow
+(``trace`` site) instead, asserting the trace tier demotes too.  With
+``--continuation`` the chaos lands in a *continuation dispatch* audit
+(``dispatch`` site): the run executes under its canonical fault plan so
+deopts actually dispatch, the first dispatch audit is forced to report
+the guard fact as still holding, and the sentinel must refuse it,
+poison the function's continuations and capture a
 ``continuation-divergence`` bundle.  With ``--version`` the corruption
-lands in a *block version* audit shadow (``REPRO_CHAOS_LBBV``,
+lands in a *block version* audit shadow (``version`` site,
 ``repro.machine.lbbv``), asserting a version divergence demotes the
 whole version table along with its block table.
 """
@@ -81,19 +81,16 @@ def _cmd_inject(args) -> int:
         # Corrupt a *trace* audit shadow instead of a block one, and
         # drop the promotion thresholds so an auditable trace actually
         # forms within a short CI run.
-        os.environ["REPRO_CHAOS_TRACE"] = "corrupt"
+        os.environ["REPRO_CHAOS_AUDIT"] = "trace"
         os.environ.setdefault("REPRO_TRACEJIT_BUDGET", "400")
         os.environ.setdefault("REPRO_TRACEJIT_HOT", "8")
         os.environ.setdefault("REPRO_TRACEJIT_ENTRY", "8")
     elif args.continuation:
-        os.environ["REPRO_CHAOS_CONT"] = "spurious"
+        os.environ["REPRO_CHAOS_AUDIT"] = "dispatch"
     elif args.version:
-        # Corrupt a *block version* audit shadow: requires the lbbv
-        # tier on so version slots exist for the audit to land on.
-        os.environ["REPRO_CHAOS_LBBV"] = "corrupt"
-        os.environ["REPRO_LBBV"] = "1"
+        os.environ["REPRO_CHAOS_AUDIT"] = "version"
     else:
-        os.environ["REPRO_CHAOS_AUDIT"] = "corrupt"
+        os.environ["REPRO_CHAOS_AUDIT"] = "block"
     if args.bundle_dir:
         os.environ["REPRO_BUNDLE_DIR"] = args.bundle_dir
 
@@ -118,7 +115,7 @@ def _cmd_inject(args) -> int:
     assert engine is not None
     sentinel = engine.executor._audit
     if sentinel is None:
-        print("sentinel was not armed (blockjit off?)", file=sys.stderr)
+        print("sentinel was not armed (tier below block?)", file=sys.stderr)
         return 1
     if args.continuation:
         if sentinel.cont_audits == 0:
@@ -221,18 +218,17 @@ def main(argv=None) -> int:
                      help="mean audit gap in retired instructions")
     cmd.add_argument("--trace", action="store_true",
                      help="seed the divergence in a compiled *trace* "
-                          "shadow (REPRO_CHAOS_TRACE) instead of a fused "
-                          "block, asserting trace demotion")
+                          "shadow instead of a fused block, asserting "
+                          "trace demotion")
     cmd.add_argument("--continuation", action="store_true",
                      help="seed a spurious continuation dispatch "
-                          "(REPRO_CHAOS_CONT) under the benchmark's "
-                          "canonical fault plan, asserting refusal, "
-                          "poisoning and bundle capture")
+                          "under the benchmark's canonical fault plan, "
+                          "asserting refusal, poisoning and bundle "
+                          "capture")
     cmd.add_argument("--version", action="store_true",
                      help="seed the divergence in a *block version* "
-                          "audit shadow (REPRO_CHAOS_LBBV), asserting "
-                          "the version table demotes with its block "
-                          "table")
+                          "audit shadow, asserting the version table "
+                          "demotes with its block table")
     cmd.add_argument("--bundle-dir", default=None)
     cmd.set_defaults(func=_cmd_inject)
 

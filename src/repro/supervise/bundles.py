@@ -85,17 +85,19 @@ def serialize_plan(plan: object) -> Optional[Dict[str, object]]:
     }
 
 
+#: the ``REPRO_*`` knobs that shape execution: every bundle records the
+#: ones set at capture and replay restores exactly these
+ENV_KEYS = (
+    "REPRO_TIER", "REPRO_VERIFY", "REPRO_AUDIT", "REPRO_CHAOS_AUDIT",
+    "REPRO_CHAOS_EXEC", "REPRO_TRACEJIT_BUDGET", "REPRO_TRACEJIT_HOT",
+    "REPRO_TRACEJIT_ENTRY", "REPRO_CONTINUATIONS", "REPRO_CONT_BUDGET",
+    "REPRO_CHAOS_FUZZ",
+)
+
+
 def _relevant_env() -> Dict[str, str]:
-    """The ``REPRO_*`` knobs that shape execution, for the bundle record."""
-    keep = (
-        "REPRO_BLOCKJIT", "REPRO_VERIFY", "REPRO_AUDIT", "REPRO_CHAOS_AUDIT",
-        "REPRO_CHAOS_EXEC", "REPRO_TRACEJIT", "REPRO_TRACEJIT_BUDGET",
-        "REPRO_TRACEJIT_HOT", "REPRO_TRACEJIT_ENTRY", "REPRO_CHAOS_TRACE",
-        "REPRO_CONTINUATIONS", "REPRO_CONT_BUDGET", "REPRO_CHAOS_CONT",
-        "REPRO_TYPED_BLOCKS", "REPRO_LBBV", "REPRO_CHAOS_LBBV",
-        "REPRO_CHAOS_FUZZ",
-    )
-    return {name: os.environ[name] for name in keep if name in os.environ}
+    """The :data:`ENV_KEYS` set in this process, for the bundle record."""
+    return {name: os.environ[name] for name in ENV_KEYS if name in os.environ}
 
 
 def bundle_digest(payload: Dict[str, object]) -> str:

@@ -1,10 +1,11 @@
 """Deterministic re-execution and minimization of crash bundles.
 
 Every bundle kind records enough to rebuild its run exactly — benchmark,
-ISA target, engine-config knobs, iteration count, rep, the serialized
-fault plan, and the ``REPRO_*`` environment that shaped execution — so
-replay is a matter of reconstructing that world and checking that the
-same failure happens again:
+ISA target, engine-config knobs (tier and continuations included),
+iteration count, rep, the serialized fault plan, and the ``REPRO_*``
+environment that shaped execution — so replay is a matter of
+reconstructing that world and checking that the same failure happens
+again:
 
 * ``divergence`` — re-run the benchmark with the recorded audit
   interval (and chaos hook, if one seeded the divergence), capturing
@@ -12,13 +13,13 @@ same failure happens again:
   for the same code object, block and mismatch set appears.
 * ``continuation-divergence`` — re-run the benchmark under the recorded
   fault plan with the recorded audit environment (``REPRO_AUDIT`` /
-  ``REPRO_CHAOS_CONT``); reproduced iff a spurious continuation
+  ``REPRO_CHAOS_AUDIT``); reproduced iff a spurious continuation
   dispatch is refused again at the same code object, check and fact.
 * ``engine-exception`` — re-run the benchmark under the recorded fault
   plan; reproduced iff the same exception type escapes.
-* ``oracle-failure`` — re-run :func:`repro.resilience.oracle.
-  differential_run` under the recorded plan; reproduced iff the oracle
-  fails again.
+* ``oracle-failure`` — re-run :func:`repro.resilience.oracle.matrix_run`
+  over the recorded executor-ladder rungs under the recorded plan;
+  reproduced iff the oracle fails again.
 * ``cell-failure`` — re-run the cell in a fresh single-worker process
   pool with the recorded chaos environment; reproduced iff the worker
   crashes, hangs past the watchdog, or raises the recorded error.
@@ -48,17 +49,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .bundles import capture_bundle, list_bundles, load_bundle
-
-#: environment keys a replay restores from the bundle record
-_ENV_KEYS = (
-    "REPRO_BLOCKJIT", "REPRO_VERIFY", "REPRO_AUDIT", "REPRO_CHAOS_AUDIT",
-    "REPRO_CHAOS_EXEC", "REPRO_TRACEJIT", "REPRO_TRACEJIT_BUDGET",
-    "REPRO_TRACEJIT_HOT", "REPRO_TRACEJIT_ENTRY", "REPRO_CHAOS_TRACE",
-    "REPRO_CONTINUATIONS", "REPRO_CONT_BUDGET", "REPRO_CHAOS_CONT",
-    "REPRO_TYPED_BLOCKS", "REPRO_LBBV", "REPRO_CHAOS_LBBV",
-    "REPRO_CHAOS_FUZZ",
-)
+from .bundles import ENV_KEYS, capture_bundle, list_bundles, load_bundle
 
 #: wall-clock watchdog for cell-failure replays (a recorded hang chaos
 #: sleeps for an hour; we call it reproduced long before that)
@@ -78,12 +69,12 @@ def _replay_env(record: Dict[str, object], extra: Dict[str, str]):
     desired: Dict[str, str] = {}
     recorded = record.get("env")
     if isinstance(recorded, dict):
-        for key in _ENV_KEYS:
+        for key in ENV_KEYS:
             if key in recorded:
                 desired[key] = str(recorded[key])
     desired.update(extra)
     saved: Dict[str, Optional[str]] = {}
-    touched = set(_ENV_KEYS) | set(desired) | {
+    touched = set(ENV_KEYS) | set(desired) | {
         "REPRO_BUNDLE_DIR", "REPRO_CHAOS_MAIN_PID", "REPRO_BUNDLES",
     }
     for key in touched:
@@ -111,10 +102,14 @@ def _rebuild_engine_config(record: Dict[str, object]):
     removed = frozenset(
         CheckKind[name] for name in config.get("removed_checks", ())
     )
+    # Bundles from before the tier was recorded defer both to the
+    # restored environment.
     return EngineConfig(
         target=str(record.get("target", config.get("target", "arm64"))),
         removed_checks=removed,
         emit_check_branches=bool(config.get("emit_check_branches", True)),
+        tier=config.get("tier"),
+        continuations=config.get("continuations"),
     )
 
 
@@ -221,7 +216,7 @@ def _reproduce_cont_divergence(
         plan = _plan_with(plan, faults)
     with tempfile.TemporaryDirectory(prefix="repro-replay-") as scratch:
         # The recorded env carries REPRO_AUDIT (the sentinel must be
-        # armed for dispatch audits to run) and REPRO_CHAOS_CONT (when
+        # armed for dispatch audits to run) and REPRO_CHAOS_AUDIT (when
         # chaos seeded the spurious trip in the first place).
         with _replay_env(record, {"REPRO_BUNDLE_DIR": scratch}):
             _run_benchmark(record, iterations, plan)
@@ -247,17 +242,28 @@ def _reproduce_engine_exception(
 def _reproduce_oracle_failure(
     record: Dict[str, object], iterations: int, faults
 ) -> bool:
-    from ..resilience.oracle import differential_run
+    from ..resilience.faults import plan_for
+    from ..resilience.oracle import (
+        CHAOS_TIERS,
+        LADDER_BY_NAME,
+        matrix_run,
+        resolve_benchmark,
+    )
 
-    plan = _plan_with(_rebuild_plan(record), faults)
+    benchmark = str(record["benchmark"])
+    plan = _plan_with(_rebuild_plan(record), faults) or plan_for(
+        benchmark, int(record.get("seed", 0)), iterations  # type: ignore[arg-type]
+    )
+    names = record.get("tiers")
+    tiers = (
+        tuple(LADDER_BY_NAME[str(name)] for name in names)
+        if isinstance(names, list) else CHAOS_TIERS
+    )
     with tempfile.TemporaryDirectory(prefix="repro-replay-") as scratch:
         with _replay_env(record, {"REPRO_BUNDLE_DIR": scratch}):
-            outcome = differential_run(
-                str(record["benchmark"]),
-                str(record["target"]),
-                plan=plan,
-                seed=int(record.get("seed", 0)),  # type: ignore[arg-type]
-                iterations=iterations,
+            outcome = matrix_run(
+                resolve_benchmark(benchmark), str(record["target"]),
+                plan=plan, iterations=iterations, tiers=tiers, capture=False,
             )
     return not outcome.ok
 
@@ -375,6 +381,7 @@ def _reproduce_fuzz_divergence(
 def _baseline_runs_clean(record: Dict[str, object], source: str) -> bool:
     """Does the candidate program complete an interpreter-only run?"""
     from ..engine import EngineConfig
+    from ..machine.ladder import Tier
     from ..suite.runner import BenchmarkRunner, NoiseModel
     from ..suite.spec import BenchmarkSpec
 
@@ -389,7 +396,7 @@ def _baseline_runs_clean(record: Dict[str, object], source: str) -> bool:
             try:
                 BenchmarkRunner(
                     spec,
-                    EngineConfig(enable_optimizer=False),
+                    EngineConfig(tier=Tier.INTERP),
                     NoiseModel(enabled=False),
                 ).run(iterations=2)
             except Exception:

@@ -48,9 +48,16 @@ a descendant's audit satisfies the ancestor's pending one.
 default keeps executor-section overhead under 10 % (measured by
 ``repro.exec.bench``).
 
-``REPRO_CHAOS_AUDIT=corrupt[:N]`` is the test hook: the Nth audit
-perturbs the fused shadow's result before comparison, deterministically
-seeding a divergence for CI to catch end to end.
+``REPRO_CHAOS_AUDIT=<site>[:N]`` is the test hook, deterministically
+seeding a divergence for CI to catch end to end.  The site names which
+audit the chaos lands in and N (default 1) which count of it fires:
+
+* ``block`` — the Nth audit of any kind, if it is a block audit: the
+  fused shadow's result is perturbed before comparison;
+* ``trace`` — the Nth whole-trace audit, perturbed the same way;
+* ``version`` — the Nth block audit that lands on a block-version slot;
+* ``dispatch`` — the Nth continuation-dispatch audit reports the guard
+  fact as still holding, seeding a spurious-trip refusal.
 """
 
 from __future__ import annotations
@@ -62,6 +69,21 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..exec.fingerprint import engine_fingerprint
 from .bundles import capture_bundle
+
+#: audit sites ``REPRO_CHAOS_AUDIT`` can corrupt (module docstring)
+CHAOS_SITES = ("block", "trace", "dispatch", "version")
+
+
+def chaos_spec() -> Tuple[Optional[str], int]:
+    """``REPRO_CHAOS_AUDIT=<site>[:N]`` as ``(site, N)``; ``(None, 0)``
+    when unset or naming no audit site.  A malformed N means 1."""
+    site, _, nth = os.environ.get("REPRO_CHAOS_AUDIT", "").partition(":")
+    if site not in CHAOS_SITES:
+        return None, 0
+    try:
+        return site, max(1, int(nth)) if nth else 1
+    except ValueError:
+        return site, 1
 
 if TYPE_CHECKING:
     from ..jit.codegen import CodeObject
@@ -216,25 +238,7 @@ class DivergenceSentinel:
         self.divergences = 0
         #: (code-name, block-id) per demotion, in discovery order
         self.demotions: List[Tuple[Optional[str], int]] = []
-        chaos = os.environ.get("REPRO_CHAOS_AUDIT", "")
-        self._chaos_at: Optional[int] = None
-        if chaos.startswith("corrupt"):
-            _, _, nth = chaos.partition(":")
-            try:
-                self._chaos_at = max(1, int(nth)) if nth else 1
-            except ValueError:
-                self._chaos_at = 1
-        #: REPRO_CHAOS_TRACE=corrupt[:N] — same hook, for trace audits:
-        #: the Nth *trace* audit perturbs the trace probe's result so CI
-        #: can seed a trace divergence end to end.
-        chaos_trace = os.environ.get("REPRO_CHAOS_TRACE", "")
-        self._chaos_trace_at: Optional[int] = None
-        if chaos_trace.startswith("corrupt"):
-            _, _, nth = chaos_trace.partition(":")
-            try:
-                self._chaos_trace_at = max(1, int(nth)) if nth else 1
-            except ValueError:
-                self._chaos_trace_at = 1
+        self._chaos_site, self._chaos_at = chaos_spec()
         #: continuation-dispatch audits (repro.machine.continuations):
         #: before a deopt re-dispatch the engine asks the sentinel to
         #: re-evaluate the failing guard's fact against the live register
@@ -246,32 +250,15 @@ class DivergenceSentinel:
         self.cont_demotions = 0
         #: (code-name, bytecode-pc) per poisoned dispatch site
         self.cont_demoted: List[Tuple[Optional[str], int]] = []
-        #: REPRO_CHAOS_CONT=spurious[:N] — the Nth continuation audit
-        #: reports the guard fact as still holding, deterministically
-        #: seeding a spurious-trip demotion for CI to catch end to end.
-        chaos_cont = os.environ.get("REPRO_CHAOS_CONT", "")
-        self._chaos_cont_at: Optional[int] = None
-        if chaos_cont.startswith("spurious"):
-            _, _, nth = chaos_cont.partition(":")
-            try:
-                self._chaos_cont_at = max(1, int(nth)) if nth else 1
-            except ValueError:
-                self._chaos_cont_at = 1
         #: block-version audits (repro.machine.lbbv): a version's driver
         #: slot shares the base block's stepped twin, so the regular
         #: block audit covers it — these count how many audits landed on
-        #: version slots.  REPRO_CHAOS_LBBV=corrupt[:N] perturbs the Nth
-        #: such audit, deterministically seeding a version divergence
-        #: (and the whole-table demotion it triggers) for CI to replay.
+        #: version slots.
         self.version_audits = 0
-        chaos_lbbv = os.environ.get("REPRO_CHAOS_LBBV", "")
-        self._chaos_lbbv_at: Optional[int] = None
-        if chaos_lbbv.startswith("corrupt"):
-            _, _, nth = chaos_lbbv.partition(":")
-            try:
-                self._chaos_lbbv_at = max(1, int(nth)) if nth else 1
-            except ValueError:
-                self._chaos_lbbv_at = 1
+
+    def _chaos(self, site: str, count: int) -> bool:
+        """Is this the audit ``REPRO_CHAOS_AUDIT`` told us to corrupt?"""
+        return site == self._chaos_site and count == self._chaos_at
 
     # -- schedule --------------------------------------------------------
 
@@ -409,10 +396,9 @@ class DivergenceSentinel:
             versions.hits[:] = hits_snap + [0] * grown
             fused.bid = versions.base_bid(fused.bid)
             stepped.bid = versions.base_bid(stepped.bid)
-        chaos = self._chaos_at is not None and self.audits == self._chaos_at
-        if bid != base and self._chaos_lbbv_at is not None \
-                and self.version_audits == self._chaos_lbbv_at:
-            chaos = True
+        chaos = self._chaos("block", self.audits) or (
+            bid != base and self._chaos("version", self.version_audits)
+        )
         if chaos and fused.error is None:
             fused.regs[0] ^= 1
         mismatch = self._compare(stepped, fused)
@@ -470,8 +456,7 @@ class DivergenceSentinel:
         from ..machine.continuations import fact_holds
         held = None if fact is None else fact_holds(fact, regs,
                                                     engine.heap.words)
-        chaos = (self._chaos_cont_at is not None
-                 and self.cont_audits == self._chaos_cont_at)
+        chaos = self._chaos("dispatch", self.cont_audits)
         if chaos:
             held = True
         if held is not True:
@@ -533,8 +518,7 @@ class DivergenceSentinel:
                                special, cycles)
         fused = self._shadow(ex, info.once, regs, fregs, frame, special,
                              cycles)
-        chaos = (self._chaos_trace_at is not None
-                 and self.trace_audits == self._chaos_trace_at)
+        chaos = self._chaos("trace", self.trace_audits)
         if chaos and fused.error is None:
             fused.regs[0] ^= 1
         mismatch = self._compare(stepped, fused)

@@ -208,7 +208,7 @@ def main(argv=None) -> int:
                         help="run with the trace tier armed and print the "
                              "edge-frequency histogram and formed chains")
     parser.add_argument("--versions", action="store_true",
-                        help="run with the lbbv tier armed and print "
+                        help="run the lbbv tier and print "
                              "per-block version occupancy, keyed states "
                              "and hit counts (which states are hot)")
     parser.add_argument("--iterations", type=int, default=10)
@@ -220,8 +220,6 @@ def main(argv=None) -> int:
         os.environ.setdefault("REPRO_TRACEJIT_BUDGET", "400")
         os.environ.setdefault("REPRO_TRACEJIT_HOT", "8")
         os.environ.setdefault("REPRO_TRACEJIT_ENTRY", "8")
-    if args.versions:
-        os.environ["REPRO_LBBV"] = "1"
 
     from ..suite.runner import BenchmarkRunner
     from ..suite.spec import get_benchmark

@@ -27,6 +27,7 @@ from repro.isa.semantics import AbstractTransfer, abstract_transfer_of
 from repro.jit.checks import CheckKind
 from repro.jit.codegen import CodeObject
 from repro.jit.deopt import DeoptPoint
+from repro.machine.ladder import Tier
 from repro.suite import compile_benchmark, get_benchmark
 
 SMI = ("smi", None)
@@ -145,7 +146,7 @@ def test_analysis_result_is_cached_and_serializable():
 def test_cross_validation_clean_on_real_run():
     spec = get_benchmark("FIB")
     engine = compile_benchmark(
-        spec, EngineConfig(target="arm64", verify=True, typed_blocks=True),
+        spec, EngineConfig(target="arm64", verify=True, tier=Tier.TRACE),
         iterations=12,
     )
     assert sum(engine.check_trips.values()) > 0  # FIB warmup does deopt

@@ -12,6 +12,7 @@ sys.setrecursionlimit(100000)
 
 from repro.analysis import set_default_verify
 from repro.engine import Engine, EngineConfig
+from repro.machine.ladder import Tier
 
 # Every engine the tests construct verifies the IR after each pass and
 # lints the emitted machine code (unless a test opts out via
@@ -47,7 +48,7 @@ def engine():
 @pytest.fixture
 def interp_engine():
     """Interpreter-only engine (the semantics reference)."""
-    return Engine(EngineConfig(enable_optimizer=False))
+    return Engine(EngineConfig(tier=Tier.INTERP))
 
 
 def run_js(source: str, call: str = None, args=(), config: EngineConfig = None):
@@ -63,7 +64,7 @@ def run_js(source: str, call: str = None, args=(), config: EngineConfig = None):
 def run_hot(source: str, call: str, args=(), target: str = "arm64", warmup: int = 30):
     """Run `call` enough times to tier up, assert the JIT result matches the
     interpreter result, and return (value, engine)."""
-    reference = Engine(EngineConfig(enable_optimizer=False))
+    reference = Engine(EngineConfig(tier=Tier.INTERP))
     reference.load(source)
     expected = reference.call_global(call, *args)
 

@@ -18,6 +18,7 @@ from repro.fuzz.generator import (
     program_name,
 )
 from repro.lang import parse, unparse
+from repro.machine.ladder import Tier
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -97,7 +98,7 @@ class TestGeneratedPrograms:
         program = generate_program(fuzz_case_seed(13, index))
         runner = BenchmarkRunner(
             fuzz_spec(program),
-            EngineConfig(enable_optimizer=False),
+            EngineConfig(tier=Tier.INTERP),
             NoiseModel(enabled=False),
         )
         result = runner.run(iterations=3)

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Engine, EngineConfig
+from repro.machine.ladder import Tier
 
 
 def results_agree(source, call, args_list, target="arm64"):
-    reference = Engine(EngineConfig(enable_optimizer=False))
+    reference = Engine(EngineConfig(tier=Tier.INTERP))
     reference.load(source)
     expected = [reference.call_global(call, *args) for args in args_list]
 
@@ -164,7 +165,7 @@ class TestCheckRemovalDifferential:
           return best;
         }
         """
-        reference = Engine(EngineConfig(enable_optimizer=False))
+        reference = Engine(EngineConfig(tier=Tier.INTERP))
         reference.load(source)
         expected = reference.call_global("f", 8)
         engine = Engine(
@@ -176,7 +177,7 @@ class TestCheckRemovalDifferential:
 
     def test_branch_suppression_preserves_results(self):
         source = "function f(a, b) { return a * b + 7; }"
-        reference = Engine(EngineConfig(enable_optimizer=False))
+        reference = Engine(EngineConfig(tier=Tier.INTERP))
         reference.load(source)
         expected = reference.call_global("f", 6, 7)
         engine = Engine(EngineConfig(target="arm64", emit_check_branches=False))

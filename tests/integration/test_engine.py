@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import Engine, EngineConfig
 from repro.jit.checks import CheckKind
+from repro.machine.ladder import Tier
 
 
 class TestTiering:
@@ -37,7 +38,7 @@ class TestTiering:
         assert shared.code is not None
 
     def test_optimizer_disabled_stays_interpreted(self):
-        engine = Engine(EngineConfig(enable_optimizer=False))
+        engine = Engine(EngineConfig(tier=Tier.INTERP))
         engine.load(self.SOURCE)
         for _ in range(50):
             engine.call_global("hot", 10)
@@ -45,7 +46,7 @@ class TestTiering:
         assert shared.code is None
 
     def test_compiled_code_is_faster(self):
-        interpreted = Engine(EngineConfig(enable_optimizer=False))
+        interpreted = Engine(EngineConfig(tier=Tier.INTERP))
         interpreted.load(self.SOURCE)
         optimized = Engine(EngineConfig())
         optimized.load(self.SOURCE)

@@ -4,10 +4,11 @@ import pytest
 
 from repro.engine import Engine, EngineConfig
 from repro.lang.errors import JSTypeError
+from repro.machine.ladder import Tier
 
 
 def run(source, call=None, *args):
-    engine = Engine(EngineConfig(enable_optimizer=False))
+    engine = Engine(EngineConfig(tier=Tier.INTERP))
     engine.load(source)
     if call is None:
         return engine

@@ -5,11 +5,12 @@ import pytest
 from repro.engine import Engine, EngineConfig
 from repro.ir.builder import build_graph, callee_is_inlinable
 from repro.jit.checks import CheckKind
+from repro.machine.ladder import Tier
 
 
 def graph_for(source, name, calls=20, args_sequence=None, target="arm64"):
     """Warm a function in the interpreter, then build its graph."""
-    engine = Engine(EngineConfig(enable_optimizer=False, target=target))
+    engine = Engine(EngineConfig(tier=Tier.INTERP, target=target))
     engine.load(source)
     for i in range(calls):
         engine.call_global(name, *(args_sequence[i % len(args_sequence)] if args_sequence else ()))

@@ -5,10 +5,11 @@ from repro.ir.builder import build_graph
 from repro.ir.passes.check_elim import eliminate_checks
 from repro.ir.passes.dce import elide_truncated_minus_zero_checks, eliminate_dead_code
 from repro.jit.checks import CheckKind
+from repro.machine.ladder import Tier
 
 
 def built(source, name, args_sequence, calls=20):
-    engine = Engine(EngineConfig(enable_optimizer=False))
+    engine = Engine(EngineConfig(tier=Tier.INTERP))
     engine.load(source)
     for i in range(calls):
         engine.call_global(name, *args_sequence[i % len(args_sequence)])
@@ -101,7 +102,7 @@ class TestExecutionAfterRemoval:
         var arr = [5, 6, 7, 8];
         function f(i) { return arr[i] * 2; }
         """
-        reference = Engine(EngineConfig(enable_optimizer=False))
+        reference = Engine(EngineConfig(tier=Tier.INTERP))
         reference.load(source)
         expected = reference.call_global("f", 2)
 

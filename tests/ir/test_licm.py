@@ -4,10 +4,11 @@ from repro.engine import Engine, EngineConfig
 from repro.ir.builder import build_graph
 from repro.ir.passes.licm import hoist_invariant_checks
 from repro.jit.checks import CheckKind
+from repro.machine.ladder import Tier
 
 
 def builder_for(source, name, calls=25, entry="f"):
-    engine = Engine(EngineConfig(enable_optimizer=False))
+    engine = Engine(EngineConfig(tier=Tier.INTERP))
     engine.load(source)
     for _ in range(calls):
         engine.call_global(entry)

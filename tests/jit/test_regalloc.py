@@ -9,10 +9,11 @@ from repro.ir.passes.schedule import schedule_rpo
 from repro.jit.regalloc import allocate
 from repro.jit.codegen import CodeGenerator
 from repro.isa.base import resolve_target
+from repro.machine.ladder import Tier
 
 
 def allocation_for(source, name, args_sequence, calls=25):
-    engine = Engine(EngineConfig(enable_optimizer=False))
+    engine = Engine(EngineConfig(tier=Tier.INTERP))
     engine.load(source)
     for i in range(calls):
         engine.call_global(name, *args_sequence[i % len(args_sequence)])
@@ -77,7 +78,7 @@ class TestAllocationInvariants:
         engine = Engine(EngineConfig(target="arm64"))
         engine.target = tiny
         engine.load(LOOP)
-        reference = Engine(EngineConfig(enable_optimizer=False))
+        reference = Engine(EngineConfig(tier=Tier.INTERP))
         reference.load(LOOP)
         expected = reference.call_global("f", 2, 3, 4, 10)
         for _ in range(40):

@@ -4,7 +4,8 @@ The block executor's contract (DESIGN.md "Two-tier executor") is that
 heap results, cycle totals, per-pc sample attributions, deopt records and
 hardware-counter stats are *bitwise identical* to the step loop — the
 fast tier may bail out, never diverge.  These tests run real benchmarks
-with ``EngineConfig(blockjit=...)`` toggled and compare everything:
+with the block executors on (``EngineConfig(tier=Tier.TRACE)``) and off
+(``Tier.OPT``, the step loop) and compare everything:
 
 * the tier-1 subset covers the smoke suite on both ISAs, including a
   PC-sampled run and a fault-injected run;
@@ -16,6 +17,7 @@ with ``EngineConfig(blockjit=...)`` toggled and compare everything:
 import pytest
 
 from repro.engine import Engine, EngineConfig
+from repro.machine.ladder import Tier
 from repro.profiling.sampler import attach_sampler, window_straddles_tick
 from repro.resilience.faults import FaultInjector, plan_for
 from repro.suite.runner import BenchmarkRunner
@@ -26,9 +28,14 @@ TARGETS = ("arm64", "x64")
 SAMPLE_PERIOD = 467.0
 
 
+def tier_for(blockjit):
+    """The whole block-executor stack, or the step loop alone."""
+    return Tier.TRACE if blockjit else Tier.OPT
+
+
 def run_fingerprint(name, target, blockjit, inject=False, iterations=12):
     spec = get_benchmark(name)
-    config = EngineConfig(target=target, blockjit=blockjit)
+    config = EngineConfig(target=target, tier=tier_for(blockjit))
     injector = (
         FaultInjector(plan_for(name, seed=7, iterations=iterations))
         if inject
@@ -45,7 +52,7 @@ def run_fingerprint(name, target, blockjit, inject=False, iterations=12):
 
 def sampled_fingerprint(name, target, blockjit, iterations=12):
     spec = get_benchmark(name)
-    engine = Engine(EngineConfig(target=target, blockjit=blockjit))
+    engine = Engine(EngineConfig(target=target, tier=tier_for(blockjit)))
     engine.load(spec.source)
     engine.call_global("setup")
     for i in range(6):
@@ -109,13 +116,13 @@ def test_window_straddle_contract():
 def test_blockjit_config_switch(monkeypatch):
     from repro.machine.blockjit import default_blockjit
 
-    monkeypatch.setenv("REPRO_BLOCKJIT", "0")
+    monkeypatch.setenv("REPRO_TIER", "opt")
     assert not default_blockjit()
-    assert not Engine(EngineConfig()).executor.blockjit
-    monkeypatch.setenv("REPRO_BLOCKJIT", "1")
+    assert Engine(EngineConfig()).tier is Tier.OPT
+    monkeypatch.setenv("REPRO_TIER", "block")
     assert default_blockjit()
-    assert Engine(EngineConfig(blockjit=False)).executor.blockjit is False
-    assert Engine(EngineConfig(blockjit=True)).executor.blockjit is True
+    assert Engine(EngineConfig(tier=Tier.OPT)).tier is Tier.OPT
+    assert Engine(EngineConfig(tier=Tier.BLOCK)).tier is Tier.BLOCK
 
 
 def test_tracing_forces_step_loop():
@@ -124,7 +131,8 @@ def test_tracing_forces_step_loop():
     trace identical to a step-loop engine's."""
     def traced(blockjit):
         spec = get_benchmark("FIB")
-        engine = Engine(EngineConfig(blockjit=blockjit, collect_trace=True))
+        engine = Engine(EngineConfig(tier=tier_for(blockjit),
+                                     collect_trace=True))
         engine.load(spec.source)
         engine.call_global("setup")
         for i in range(12):
@@ -137,7 +145,7 @@ def test_tracing_forces_step_loop():
 
     off = traced(False)
     on = traced(True)
-    assert on  # tracing produced retires despite blockjit=True
+    assert on  # tracing produced retires despite the block tiers
     assert off == on
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import Engine, EngineConfig
+from repro.machine.ladder import Tier
 from repro.machine.lbbv import MAX_VERSIONS
 from repro.suite.runner import BenchmarkRunner
 from repro.suite.spec import get_benchmark
@@ -17,11 +18,9 @@ SMOKE = ("AES2", "FIB", "JSONLIKE", "SPMV-CSR-INT")
 CHAINY = ("SPLAY", "AES2")
 
 
-def run_fingerprint(name, target, lbbv, blockjit=True, iterations=12):
+def run_fingerprint(name, target, tier, iterations=12):
     spec = get_benchmark(name)
-    config = EngineConfig(
-        target=target, blockjit=blockjit, typed_blocks=True, lbbv=lbbv
-    )
+    config = EngineConfig(target=target, tier=tier)
     runner = BenchmarkRunner(spec, config)
     r = runner.run(iterations=iterations)
     fingerprint = {
@@ -57,8 +56,8 @@ def test_version_identity(name, target):
     """Version bodies, dispatchers and rechained edges must be
     observationally invisible: every simulated statistic matches the
     static typed tier; only the Python-level counters move."""
-    off, _ = run_fingerprint(name, target, lbbv=False)
-    on, engine = run_fingerprint(name, target, lbbv=True)
+    off, _ = run_fingerprint(name, target, Tier.TYPED)
+    on, engine = run_fingerprint(name, target, Tier.LBBV)
     assert on == off
     stats = engine.typed_check_stats()
     assert stats["versions_registered"] > 0
@@ -66,8 +65,8 @@ def test_version_identity(name, target):
 
 
 def test_version_vs_step_loop_identity():
-    step, _ = run_fingerprint("FIB", "arm64", lbbv=False, blockjit=False)
-    versioned, _ = run_fingerprint("FIB", "arm64", lbbv=True)
+    step, _ = run_fingerprint("FIB", "arm64", Tier.OPT)
+    versioned, _ = run_fingerprint("FIB", "arm64", Tier.LBBV)
     assert versioned == step
 
 
@@ -76,8 +75,8 @@ def test_versions_beat_static_tier_net_elision(name):
     """The tentpole's bar: the dynamic tier must elide strictly more
     checks net of its own entry tests than the static typed tier, and
     some of its entries must be guard-free chained transfers."""
-    _, static_engine = run_fingerprint(name, "arm64", lbbv=False)
-    _, version_engine = run_fingerprint(name, "arm64", lbbv=True)
+    _, static_engine = run_fingerprint(name, "arm64", Tier.TYPED)
+    _, version_engine = run_fingerprint(name, "arm64", Tier.LBBV)
     assert net_elisions(version_engine) > net_elisions(static_engine)
     stats = version_engine.typed_check_stats()
     assert stats["version_chained_entries"] > 0
@@ -87,7 +86,7 @@ def test_chained_entries_pay_zero_guards():
     """Chained entries are exactly the body executions that bypassed a
     dispatcher — each one entered a specialized body without a single
     entry test."""
-    _, engine = run_fingerprint("SPLAY", "arm64", lbbv=True)
+    _, engine = run_fingerprint("SPLAY", "arm64", Tier.LBBV)
     stats = engine.typed_check_stats()
     assert stats["version_chained_entries"] == (
         stats["version_executions"] - stats["version_dispatch_entries"]
@@ -99,7 +98,7 @@ def test_version_cap_and_widening_terminate():
     """Synthetic state pressure: registration is capped per block, the
     overflow widens to the best registered subset (or the base block),
     and widening events are counted — specialization terminates."""
-    _, engine = run_fingerprint("AES2", "arm64", lbbv=True)
+    _, engine = run_fingerprint("AES2", "arm64", Tier.LBBV)
     table = live_table(engine)
     bid = next(b for b, entry in sorted(table.ctx.static_entry.items()))
     for n in range(MAX_VERSIONS + 3):
@@ -128,7 +127,7 @@ def test_mclint_flags_unjustified_chain():
     )
     from repro.analysis.verifier import VerificationError
 
-    _, engine = run_fingerprint("SPLAY", "arm64", lbbv=True)
+    _, engine = run_fingerprint("SPLAY", "arm64", Tier.LBBV)
     tables = [t for t in engine._version_tables() if t.created]
     assert tables
     for table in tables:  # the real tables must verify clean
@@ -155,8 +154,7 @@ def test_ladder_descent_drops_version_table():
     """A rung descent tears the version table down with the block
     table (tests/resilience/test_storm_blockjit.py drives the full
     ladder; this covers the engine hook directly)."""
-    engine = Engine(EngineConfig(blockjit=True, lbbv=True,
-                                 continuations=False))
+    engine = Engine(EngineConfig(tier=Tier.LBBV, continuations=False))
     engine.load("function f(x) { return x + 1; }")
     for _ in range(40):
         engine.call_global("f", 1)
@@ -181,24 +179,25 @@ def test_ladder_descent_drops_version_table():
 def test_lbbv_config_switch(monkeypatch):
     from repro.machine.lbbv import default_lbbv
 
-    monkeypatch.setenv("REPRO_LBBV", "0")
+    monkeypatch.setenv("REPRO_TIER", "typed")
     assert not default_lbbv()
-    assert not Engine(EngineConfig()).executor.lbbv
-    monkeypatch.setenv("REPRO_LBBV", "1")
+    assert Engine(EngineConfig()).tier is Tier.TYPED
+    monkeypatch.setenv("REPRO_TIER", "lbbv")
     assert default_lbbv()
-    assert Engine(EngineConfig(lbbv=False)).executor.lbbv is False
-    assert Engine(EngineConfig(lbbv=True)).executor.lbbv is True
-    # The tier rides the typed tier's plans: no typed blocks, no lbbv.
-    assert Engine(
-        EngineConfig(lbbv=True, typed_blocks=False)
-    ).executor.lbbv is False
-    assert Engine(
-        EngineConfig(lbbv=True, blockjit=False)
-    ).executor.lbbv is False
+    assert Engine(EngineConfig()).tier is Tier.LBBV
+    # An explicit tier beats the environment, by enum or by name.
+    assert Engine(EngineConfig(tier=Tier.TYPED)).tier is Tier.TYPED
+    assert Engine(EngineConfig(tier="trace")).tier is Tier.TRACE
+    # Versioning rides the typed tier's plans: code stamped below lbbv
+    # never builds a version table.
+    for tier in (Tier.OPT, Tier.BLOCK, Tier.TYPED):
+        _, engine = run_fingerprint("FIB", "arm64", tier)
+        assert all(code._versions is None for code in engine._code_objects)
+        assert engine.typed_check_stats()["versions_registered"] == 0
 
 
 def test_version_stats_report():
-    _, engine = run_fingerprint("AES2", "arm64", lbbv=True)
+    _, engine = run_fingerprint("AES2", "arm64", Tier.LBBV)
     stats = engine.version_stats()
     assert stats["versions_registered"] > 0
     assert stats["tables"]
@@ -215,9 +214,9 @@ def test_sentinel_version_divergence_demotes_table(monkeypatch):
     with its block table and disable further versioning (the CLI/CI
     driver is `python -m repro.supervise inject AES2 --version`)."""
     monkeypatch.setenv("REPRO_AUDIT", "25")
-    monkeypatch.setenv("REPRO_CHAOS_LBBV", "corrupt")
+    monkeypatch.setenv("REPRO_CHAOS_AUDIT", "version")
     monkeypatch.setenv("REPRO_BUNDLE_DIR", "/tmp/lbbv-test-bundles")
-    _, engine = run_fingerprint("AES2", "arm64", lbbv=True)
+    _, engine = run_fingerprint("AES2", "arm64", Tier.LBBV)
     sentinel = engine.executor._audit
     assert sentinel is not None
     assert sentinel.version_audits > 0

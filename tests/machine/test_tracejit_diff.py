@@ -4,10 +4,10 @@ The trace tier's contract (DESIGN.md "Three-tier executor") is the same
 as the block tier's, one level up: heap results, cycle totals, per-pc
 sample attributions, deopt records and hardware-counter stats are
 *bitwise identical* to the step loop — a trace may side-exit back to the
-block table, never diverge.  These tests run real benchmarks with
-``EngineConfig(tracejit=...)`` toggled under low promotion thresholds
-(so chains actually form within a 12-iteration test) and compare
-everything across all three tiers:
+block table, never diverge.  These tests run real benchmarks at tiers
+``opt`` (the step loop), ``lbbv`` (every block tier) and ``trace`` under
+low promotion thresholds (so chains actually form within a 12-iteration
+test) and compare everything across all three:
 
 * the tier-1 subset covers the smoke suite on both ISAs, including a
   PC-sampled run and a fault-injected run — the fault run exercises the
@@ -27,6 +27,7 @@ import pytest
 
 from repro.engine import Engine, EngineConfig
 from repro.isa.base import MachineInstr, MOp
+from repro.machine.ladder import Tier
 from repro.machine.tracejit import _chain_guard_sets
 from repro.profiling.sampler import attach_sampler
 from repro.resilience.faults import FaultInjector, plan_for
@@ -37,12 +38,13 @@ SMOKE = ("AES2", "FIB", "SPECTRAL", "JSONLIKE", "DP", "SPMV-CSR-INT")
 TARGETS = ("arm64", "x64")
 SAMPLE_PERIOD = 467.0
 
-#: tier name -> EngineConfig knobs (typed blocks on, so chain stitching
-#: runs over guarded typed variants — the hardest identity case)
+#: mode -> executor tier (typed blocks and versions on below traces, so
+#: chain stitching runs over guarded typed variants — the hardest
+#: identity case)
 TIERS = {
-    "step": dict(blockjit=False, tracejit=False),
-    "block": dict(blockjit=True, tracejit=False),
-    "trace": dict(blockjit=True, tracejit=True),
+    "step": Tier.OPT,
+    "block": Tier.LBBV,
+    "trace": Tier.TRACE,
 }
 
 
@@ -57,7 +59,7 @@ def _hot_thresholds(monkeypatch):
 
 def run_fingerprint(name, target, tier, inject=False, iterations=12):
     spec = get_benchmark(name)
-    config = EngineConfig(target=target, typed_blocks=True, **TIERS[tier])
+    config = EngineConfig(target=target, tier=TIERS[tier])
     injector = (
         FaultInjector(plan_for(name, seed=7, iterations=iterations))
         if inject
@@ -76,8 +78,7 @@ def run_fingerprint(name, target, tier, inject=False, iterations=12):
 
 def sampled_fingerprint(name, target, tier, iterations=12):
     spec = get_benchmark(name)
-    engine = Engine(EngineConfig(target=target, typed_blocks=True,
-                                 **TIERS[tier]))
+    engine = Engine(EngineConfig(target=target, tier=TIERS[tier]))
     engine.load(spec.source)
     engine.call_global("setup")
     for i in range(6):
@@ -154,15 +155,19 @@ def test_call_spanning_chain_forms(name):
 def test_tracejit_config_switch(monkeypatch):
     from repro.machine.tracejit import default_tracejit
 
-    monkeypatch.setenv("REPRO_TRACEJIT", "0")
+    monkeypatch.setenv("REPRO_TIER", "lbbv")
     assert not default_tracejit()
-    assert not Engine(EngineConfig()).executor.tracejit
-    monkeypatch.setenv("REPRO_TRACEJIT", "1")
-    assert default_tracejit()
-    assert Engine(EngineConfig(blockjit=True, tracejit=False)).executor.tracejit is False
-    assert Engine(EngineConfig(blockjit=True, tracejit=True)).executor.tracejit is True
-    # No block tier, no trace tier: tracing rides on the block table.
-    assert Engine(EngineConfig(blockjit=False, tracejit=True)).executor.tracejit is False
+    assert Engine(EngineConfig()).tier is Tier.LBBV
+    monkeypatch.delenv("REPRO_TIER")
+    assert default_tracejit()  # the default tier is the top one
+    assert Engine(EngineConfig()).tier is Tier.TRACE
+    assert Engine(EngineConfig(tier=Tier.LBBV)).tier is Tier.LBBV
+    # Below the top tier no trace table ever forms: tracing rides on
+    # the block table and the versions under it.
+    for mode in ("step", "block"):
+        _, engine = run_fingerprint("FIB", "arm64", mode)
+        assert engine.trace_stats()["trace_entries"] == 0
+        assert all(code._traces is None for code in engine._code_objects)
 
 
 # -- chain guard elision ---------------------------------------------------

@@ -11,6 +11,7 @@ from repro.isa.base import CC, MachineInstr, MOp, resolve_target
 from repro.jit.checks import CheckKind
 from repro.jit.codegen import CodeObject
 from repro.jit.deopt import DeoptPoint, DeoptSignal
+from repro.machine.ladder import Tier
 from repro.suite.runner import BenchmarkRunner
 from repro.suite.spec import get_benchmark
 from repro.values.maps import ElementsKind
@@ -21,7 +22,8 @@ SMOKE = ("AES2", "FIB", "JSONLIKE", "SPMV-CSR-INT")
 
 def run_fingerprint(name, target, typed, blockjit=True, iterations=12):
     spec = get_benchmark(name)
-    config = EngineConfig(target=target, blockjit=blockjit, typed_blocks=typed)
+    tier = Tier.TYPED if typed else Tier.BLOCK if blockjit else Tier.OPT
+    config = EngineConfig(target=target, tier=tier)
     runner = BenchmarkRunner(spec, config)
     r = runner.run(iterations=iterations)
     fingerprint = {
@@ -62,13 +64,13 @@ def test_typed_counters_stay_zero_when_disabled():
 def test_typed_config_switch(monkeypatch):
     from repro.machine.blockjit import default_typed_blocks
 
-    monkeypatch.setenv("REPRO_TYPED_BLOCKS", "0")
+    monkeypatch.setenv("REPRO_TIER", "block")
     assert not default_typed_blocks()
-    assert not Engine(EngineConfig()).executor.typed_blocks
-    monkeypatch.setenv("REPRO_TYPED_BLOCKS", "1")
+    assert Engine(EngineConfig()).tier is Tier.BLOCK
+    monkeypatch.setenv("REPRO_TIER", "typed")
     assert default_typed_blocks()
-    assert Engine(EngineConfig(typed_blocks=False)).executor.typed_blocks is False
-    assert Engine(EngineConfig(typed_blocks=True)).executor.typed_blocks is True
+    assert Engine(EngineConfig(tier=Tier.BLOCK)).tier is Tier.BLOCK
+    assert Engine(EngineConfig(tier=Tier.TYPED)).tier is Tier.TYPED
 
 
 # -- hand-built code ------------------------------------------------------
@@ -95,7 +97,14 @@ def I(op, **kw):  # noqa: E743 - terse instruction builder
 
 
 def _engine(typed):
-    return Engine(EngineConfig(blockjit=True, typed_blocks=typed))
+    return Engine(EngineConfig(tier=Tier.TYPED if typed else Tier.BLOCK))
+
+
+def _run(engine, code, args):
+    """Run hand-built code at the engine's tier, stamped the way the
+    engine stamps the code it compiles."""
+    code._tier = int(engine.tier)
+    return engine.executor.run(code, args, 0)
 
 
 def _smi_arg_code():
@@ -114,8 +123,8 @@ def _smi_arg_code():
 def test_hoisted_guard_elides_check():
     typed_engine = _engine(True)
     plain_engine = _engine(False)
-    want = plain_engine.executor.run(_smi_arg_code(), [4], 0)
-    got = typed_engine.executor.run(_smi_arg_code(), [4], 0)
+    want = _run(plain_engine, _smi_arg_code(), [4])
+    got = _run(typed_engine, _smi_arg_code(), [4])
     assert got == want == 4
     assert typed_engine.executor.cycles == plain_engine.executor.cycles
     elided, conds, smi, guards, failures = typed_engine.executor.typed_counters[:5]
@@ -130,9 +139,9 @@ def test_guard_failure_falls_back_to_generic():
     typed_engine = _engine(True)
     plain_engine = _engine(False)
     with pytest.raises(DeoptSignal) as plain_signal:
-        plain_engine.executor.run(_smi_arg_code(), [5], 0)
+        _run(plain_engine, _smi_arg_code(), [5])
     with pytest.raises(DeoptSignal) as typed_signal:
-        typed_engine.executor.run(_smi_arg_code(), [5], 0)
+        _run(typed_engine, _smi_arg_code(), [5])
     assert typed_signal.value.check_id == plain_signal.value.check_id == 0
     assert typed_engine.executor.cycles == plain_engine.executor.cycles
     elided, conds, smi, guards, failures = typed_engine.executor.typed_counters[:5]
@@ -186,7 +195,7 @@ def _run_packed_smi(typed):
     heap.extend([map_word, 2, 14])  # map, tagged length 1, tagged element 7
     code = _packed_smi_load_code(map_word)
     code.map_dependencies = {_PackedSmiMap(map_address)}
-    result = engine.executor.run(code, [pointer_tag(base), 0], 0)
+    result = _run(engine, code, [pointer_tag(base), 0])
     return result, engine
 
 
@@ -217,7 +226,7 @@ def test_jsldrsmi_needs_guard_without_map_dependency():
     heap.extend([map_word, 2, 14])
     code = _packed_smi_load_code(map_word)  # map_dependencies left empty
     assert analyze_typeflow(code).classifications[2].klass == HOISTABLE
-    result = engine.executor.run(code, [pointer_tag(base), 0], 0)
+    result = _run(engine, code, [pointer_tag(base), 0])
     assert result == 7
     assert engine.executor.typed_counters[3] == 3  # map + bounds + element
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import Engine, EngineConfig
 from repro.jit.checks import CheckGroup, CheckKind
+from repro.machine.ladder import Tier
 from repro.profiling.annotate import annotated_listing
 from repro.profiling.attribution import (
     attribute_samples,
@@ -101,7 +102,7 @@ class TestSampling:
         )
 
     def test_other_samples_counted(self):
-        engine = Engine(EngineConfig(enable_optimizer=False))
+        engine = Engine(EngineConfig(tier=Tier.INTERP))
         engine.load(LOOP_SOURCE)
         sampler = attach_sampler(engine, period=50.0)
         engine.call_global("f", 64)

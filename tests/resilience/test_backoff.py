@@ -15,7 +15,10 @@ import pytest
 
 from repro.engine import Engine, EngineConfig
 from repro.jit.deopt import DeoptStateError
-from repro.machine.continuations import RUNG_INTERP, RUNG_NAMES
+from repro.machine.ladder import DEGRADATION
+
+#: the final degradation rung, and the number of descents to reach it
+INTERP_RUNG = len(DEGRADATION) - 1
 
 
 def warmed(source, name, warm_args, calls=40, **config_kwargs):
@@ -73,16 +76,20 @@ class TestStormGuard:
         engine, shared = warmed("function f(x) { return x + 1; }", "f", (1,))
         drive_to_disable(engine, shared)
         assert shared.optimization_disabled
-        assert shared.tier_rung == RUNG_INTERP
+        assert shared.tier_rung == INTERP_RUNG
         # Five descents: full -> no-trace -> generic-blocks ->
         # classic-deopt -> stepped -> interpreter.
-        assert engine.storms_detected == RUNG_INTERP
+        assert engine.storms_detected == INTERP_RUNG
         assert len(engine.storm_disabled) == 1
         function_name, _kind_name = engine.storm_disabled[0]
         assert function_name == "f"
-        assert [rung for _, _, _, rung in engine.ladder_descents] == list(
-            RUNG_NAMES[1:]
-        )
+        assert [rung for _, _, _, rung in engine.ladder_descents] == [
+            "no-trace", "generic-blocks", "classic-deopt", "stepped",
+            "interpreter",
+        ]
+        assert [rung.name for rung in DEGRADATION[1:]] == [
+            rung for _, _, _, rung in engine.ladder_descents
+        ]
 
     def test_disabled_function_still_runs_correctly(self):
         engine, shared = warmed("function f(x) { return x + 1; }", "f", (1,))
@@ -96,11 +103,11 @@ class TestStormGuard:
         engine, shared = warmed("function f(x) { return x + 1; }", "f", (1,))
         drive_to_disable(engine, shared)
         stats = engine.resilience_stats()
-        assert stats["storms_detected"] == RUNG_INTERP
+        assert stats["storms_detected"] == INTERP_RUNG
         assert ("f", engine.storm_disabled[0][1]) in stats["storm_disabled"]
         assert "f" in stats["disabled_functions"]
         assert stats["tier_rungs"]["f"] == "interpreter"
-        assert len(stats["ladder_descents"]) == RUNG_INTERP
+        assert len(stats["ladder_descents"]) == INTERP_RUNG
         # Storms and budget exhaustion are distinct failure accounts.
         assert stats["budget_exhaustions"] == 0
         assert stats["budget_disabled"] == []

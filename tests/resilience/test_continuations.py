@@ -13,12 +13,13 @@ from repro.engine import Engine, EngineConfig
 from repro.machine.continuations import (
     CONTINUATION_COMPILE_CYCLES,
     DISPATCH_CYCLES,
-    RUNG_INTERP,
     ContinuationTable,
     fact_holds,
 )
+from repro.machine.ladder import DEGRADATION
 from repro.resilience.faults import Fault, FaultKind, FaultPlan
-from repro.resilience.oracle import differential_run
+from repro.resilience.oracle import CHAOS_TIERS, matrix_run
+from repro.suite.spec import get_benchmark
 
 SOURCE = "function f(x) { return x + 1; }"
 
@@ -173,7 +174,7 @@ class TestLivelockBreaker:
             if result is not None:
                 assert result == 2
         assert shared.optimization_disabled  # terminated, gracefully
-        assert shared.tier_rung == RUNG_INTERP
+        assert DEGRADATION[shared.tier_rung].name == "interpreter"
         assert cont.breaker_trips >= 1
         assert cont.dispatches >= 1
         for _ in range(10):
@@ -183,10 +184,11 @@ class TestLivelockBreaker:
         # The injected guard re-arms itself after every dispatch; the run
         # must terminate through the breaker with bit-identical results.
         plan = FaultPlan("FIB", 0, (Fault(6, FaultKind.REDISPATCH_LOOP),))
-        outcome = differential_run("FIB", "arm64", plan=plan, iterations=14)
+        outcome = matrix_run(get_benchmark("FIB"), "arm64", plan=plan,
+                             iterations=14, tiers=CHAOS_TIERS)
         assert outcome.ok, outcome.mismatches
-        assert outcome.error is None
-        assert outcome.continuation_dispatches >= 1
+        assert outcome.tiers["deoptless"].error is None
+        assert outcome.tiers["deoptless"].continuation_dispatches >= 1
 
     def test_clean_exit_resets_the_streak(self):
         engine, shared = warmed(redispatch_budget=100.0)
@@ -200,7 +202,7 @@ class TestLivelockBreaker:
 class TestSentinelAudit:
     def test_spurious_dispatch_is_refused_and_poisoned(self, monkeypatch,
                                                        tmp_path):
-        monkeypatch.setenv("REPRO_CHAOS_CONT", "spurious")
+        monkeypatch.setenv("REPRO_CHAOS_AUDIT", "dispatch")
         monkeypatch.setenv("REPRO_BUNDLE_DIR", str(tmp_path))
         engine, shared = warmed(audit=True)
         assert force_trip(engine, shared) == 2  # refused, classic path

@@ -1,6 +1,7 @@
 """Fault plans and injector: determinism, spurious deopts, value preservation."""
 
 from repro.engine import EngineConfig
+from repro.machine.ladder import Tier
 from repro.resilience import Fault, FaultInjector, FaultKind, FaultPlan, plan_for
 from repro.suite.runner import BenchmarkRunner, NoiseModel
 from repro.suite.spec import get_benchmark
@@ -51,7 +52,7 @@ class TestTripCheck:
 
     def test_trip_is_noop_in_interpreter(self):
         plan = FaultPlan("FIB", 0, (Fault(3, FaultKind.TRIP_CHECK),))
-        runner = quiet_runner("FIB", enable_optimizer=False)
+        runner = quiet_runner("FIB", tier=Tier.INTERP)
         result = runner.run(iterations=8, injector=FaultInjector(plan), collect_values=True)
         assert result.deopts == []
         assert result.valid

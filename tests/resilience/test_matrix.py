@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import Engine, EngineConfig
+from repro.machine.ladder import DEGRADATION, Tier
 from repro.resilience.faults import FaultPlan
 from repro.resilience.oracle import (
     EXECUTOR_LADDER,
@@ -20,19 +21,32 @@ class TestLadder:
     def test_seven_tiers_in_escalation_order(self):
         names = [tier.name for tier in EXECUTOR_LADDER]
         assert names == [
-            "interp", "opt", "block", "typed", "trace", "lbbv", "deoptless",
+            "interp", "opt", "block", "typed", "lbbv", "trace", "deoptless",
         ]
         assert set(LADDER_BY_NAME) == set(names)
+        # One rung per tier, in tier order, then the continuation axis.
+        assert [tier.tier for tier in EXECUTOR_LADDER] == list(Tier) + [Tier.TRACE]
 
     def test_interp_tier_disables_everything(self):
         config = LADDER_BY_NAME["interp"].apply(EngineConfig())
-        assert config.enable_optimizer is False
+        assert config.tier is Tier.INTERP
+        assert config.continuations is False
+        assert not LADDER_BY_NAME["interp"].optimizer
 
     def test_tiers_pin_executors_against_env(self, monkeypatch):
-        """Explicit tier flags must override ambient REPRO_* defaults."""
-        monkeypatch.setenv("REPRO_LBBV", "1")
-        config = LADDER_BY_NAME["block"].apply(EngineConfig())
-        assert config.lbbv is False
+        """Explicit tiers must override ambient REPRO_* defaults."""
+        monkeypatch.setenv("REPRO_TIER", "trace")
+        monkeypatch.setenv("REPRO_CONTINUATIONS", "1")
+        engine = Engine(LADDER_BY_NAME["block"].apply(EngineConfig()))
+        assert engine.tier is Tier.BLOCK
+        assert engine.continuations is None
+
+    def test_every_degradation_row_is_an_oracle_rung(self):
+        """The oracle must run every host state a storm can reach: each
+        degradation row's tier cap is the tier of some ladder rung."""
+        rung_tiers = {tier.tier for tier in EXECUTOR_LADDER}
+        for row in DEGRADATION:
+            assert row.tier in rung_tiers, row.name
 
     def test_deopt_streams_not_compared_at_the_ends(self):
         # interp never deopts; deoptless legitimately diverts eager
@@ -77,15 +91,15 @@ class TestMatrixRun:
 
 class TestSnapshotGlobals:
     def test_sorted_and_canonical(self):
-        engine = Engine(EngineConfig(enable_optimizer=False))
+        engine = Engine(EngineConfig(tier=Tier.INTERP))
         engine.load("var zz = 1; var aa = 2.0; function f() { return 0; }")
         snapshot = snapshot_globals(engine)
         assert list(snapshot) == sorted(snapshot)
         assert "aa" in snapshot and "zz" in snapshot
 
     def test_integral_double_and_int_agree(self):
-        first = Engine(EngineConfig(enable_optimizer=False))
+        first = Engine(EngineConfig(tier=Tier.INTERP))
         first.load("var x = 2;")
-        second = Engine(EngineConfig(enable_optimizer=False))
+        second = Engine(EngineConfig(tier=Tier.INTERP))
         second.load("var x = 2.0;")
         assert snapshot_globals(first) == snapshot_globals(second)

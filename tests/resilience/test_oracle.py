@@ -2,9 +2,25 @@
 
 import pytest
 
-from repro.resilience import canonical_value, differential_run
-from repro.resilience.oracle import _chaos_run, snapshot_globals
-from repro.resilience.faults import FaultInjector, FaultPlan
+from repro.machine.ladder import Tier
+from repro.resilience import canonical_value, matrix_run
+from repro.resilience.oracle import (
+    CHAOS_TIERS,
+    _chaos_run,
+    resolve_benchmark,
+    snapshot_globals,
+)
+from repro.resilience.faults import FaultInjector, FaultPlan, plan_for
+
+
+def chaos_run(bench, target, iterations):
+    """The chaos sweep's cell: the full default stack against the
+    interpreter under the canonical seed-0 plan."""
+    return matrix_run(
+        resolve_benchmark(bench), target,
+        plan=plan_for(bench, 0, iterations), iterations=iterations,
+        tiers=CHAOS_TIERS,
+    )
 
 
 class TestCanonicalValue:
@@ -33,19 +49,20 @@ class TestDifferentialRun:
         [("FIB", "arm64"), ("NBODY", "x64"), ("SPLAY", "arm64"), ("CRC32", "x64")],
     )
     def test_oracle_holds_under_canonical_plan(self, bench, target):
-        outcome = differential_run(bench, target, seed=0, iterations=18)
-        assert outcome.error is None
+        outcome = chaos_run(bench, target, iterations=18)
+        top = outcome.tiers["deoptless"]
+        assert top.error is None
         assert outcome.ok, outcome.mismatches
-        assert outcome.eager_deopts >= 1  # the anchored trips engaged
-        assert outcome.faults_applied
+        assert top.eager_deopts >= 1  # the anchored trips engaged
+        assert top.faults_applied
 
     def test_outcome_carries_resilience_counters(self):
-        outcome = differential_run("FIB", "arm64", seed=0, iterations=18)
-        assert "eager_deopts_by_kind" in outcome.resilience
+        top = chaos_run("FIB", "arm64", iterations=18).tiers["deoptless"]
+        assert "eager_deopts_by_kind" in top.resilience
         # The anchored trips are absorbed deoptlessly: dispatched, not
         # burned against the re-optimization budget.
-        assert outcome.continuation_dispatches >= 1
-        assert outcome.resilience["storm_disabled"] == []
+        assert top.continuation_dispatches >= 1
+        assert top.resilience["storm_disabled"] == []
 
 
 class _CorruptingInjector(FaultInjector):
@@ -53,7 +70,7 @@ class _CorruptingInjector(FaultInjector):
 
     def before_iteration(self, engine, iteration):
         super().before_iteration(engine, iteration)
-        if iteration == 5 and engine.config.enable_optimizer:
+        if iteration == 5 and engine.tier > Tier.INTERP:
             from repro.values.tagged import is_smi
 
             for name in engine.user_global_names():
@@ -69,9 +86,9 @@ class TestSensitivity:
 
         # PRIMES keeps its sieve LIMIT in an SMI global that run() reads.
         monkeypatch.setattr(oracle_module, "FaultInjector", _CorruptingInjector)
-        outcome = differential_run("PRIMES", "arm64", seed=0, iterations=12)
+        outcome = chaos_run("PRIMES", "arm64", iterations=12)
         assert not outcome.ok
-        assert outcome.mismatches or outcome.error
+        assert outcome.mismatches
 
     def test_snapshot_covers_user_globals(self):
         from repro.engine import EngineConfig

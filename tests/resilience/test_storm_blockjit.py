@@ -12,15 +12,17 @@ bailout ladder, not the deoptless dispatch path
 """
 
 from repro.engine import Engine, EngineConfig
-from repro.machine.continuations import RUNG_INTERP, RUNG_STEPPED
+from repro.machine.ladder import DEGRADATION, Tier
 
 SOURCE = "function f(x) { return x + 1; }"
 
+#: the final degradation rung, and the number of descents to reach it
+INTERP_RUNG = len(DEGRADATION) - 1
 
-def warmed_blockjit(calls=40, tracejit=None, **config_kwargs):
+
+def warmed_blockjit(calls=40, **config_kwargs):
     config_kwargs.setdefault("continuations", False)
-    engine = Engine(EngineConfig(blockjit=True, tracejit=tracejit,
-                                 **config_kwargs))
+    engine = Engine(EngineConfig(tier=Tier.TRACE, **config_kwargs))
     engine.load(SOURCE)
     for _ in range(calls):
         engine.call_global("f", 1)
@@ -39,7 +41,7 @@ def trip_once(engine, shared):
         engine.call_global("f", 1)
     code = shared.code
     engine.call_global("f", 1)  # clean call: compiles the block table
-    if shared.tier_rung < RUNG_STEPPED:
+    if DEGRADATION[shared.tier_rung].tier >= Tier.BLOCK:
         assert code._blocks is not None
     engine.executor.forced_deopt_trips += 1
     assert engine.call_global("f", 1) == 2  # semantics survive the deopt
@@ -61,7 +63,7 @@ def test_final_descent_invalidates_compiled_blocks():
     engine, shared = warmed_blockjit()
     last_code = drive_to_disable(engine, shared)
     assert shared.optimization_disabled
-    assert shared.tier_rung == RUNG_INTERP
+    assert shared.tier_rung == INTERP_RUNG
     assert last_code is not None
     assert last_code._blocks is None  # stale fused closures are dropped
     assert last_code._typeflow is None  # cached type analysis too
@@ -77,7 +79,7 @@ def test_ladder_descent_drops_compiled_traces(monkeypatch):
     monkeypatch.setenv("REPRO_TRACEJIT_BUDGET", "20")
     monkeypatch.setenv("REPRO_TRACEJIT_HOT", "2")
     monkeypatch.setenv("REPRO_TRACEJIT_ENTRY", "2")
-    engine, shared = warmed_blockjit(tracejit=True)
+    engine, shared = warmed_blockjit()
     last_code = None
     for _ in range(engine.config.storm_strikes):
         while shared.code is None:
@@ -108,7 +110,7 @@ def test_bottomed_out_function_runs_interpreter_only_and_identically():
     engine, shared = warmed_blockjit()
     drive_to_disable(engine, shared)
 
-    reference = Engine(EngineConfig(enable_optimizer=False))
+    reference = Engine(EngineConfig(tier=Tier.INTERP))
     reference.load(SOURCE)
     for argument in range(-5, 50):
         assert engine.call_global("f", argument) == reference.call_global(
@@ -123,7 +125,7 @@ def test_every_rung_descent_drops_block_versions():
     edges jump into driver slots of the dead block table, so a stale
     version table on a recompiled code object would dispatch into
     freed closures."""
-    engine, shared = warmed_blockjit(lbbv=True)
+    engine, shared = warmed_blockjit()
     descents = 0
     for _ in range(200):
         if shared.optimization_disabled:
@@ -135,9 +137,12 @@ def test_every_rung_descent_drops_block_versions():
             if code is not None:
                 dropped = code
                 if code._blocks is not None:
-                    # lbbv attaches on every fused run (inactive past
-                    # rung 2, but always present to be torn down)
-                    assert code._versions is not None
+                    # every fused run of code stamped lbbv or above
+                    # attaches a version table; code capped below lbbv
+                    # never builds one
+                    assert (code._versions is not None) == (
+                        code._tier >= Tier.LBBV
+                    )
         descents += 1
         assert dropped is not None
         assert dropped._versions is None  # dropped on THIS descent
@@ -145,21 +150,21 @@ def test_every_rung_descent_drops_block_versions():
         assert dropped._traces is None
         assert dropped._typeflow is None
     assert shared.optimization_disabled
-    assert shared.tier_rung == RUNG_INTERP
-    assert descents == RUNG_INTERP  # one descent per rung, all checked
+    assert shared.tier_rung == INTERP_RUNG
+    assert descents == INTERP_RUNG  # one descent per rung, all checked
 
 
 def test_storm_disabled_lbbv_function_runs_interpreter_identically():
     """A function that bottoms out with the versioning tier armed runs
     interpreter-only from then on, bit-identical to a never-compiled
     engine (mirrors the PR 5 storm x blockjit guarantee)."""
-    engine, shared = warmed_blockjit(lbbv=True)
+    engine, shared = warmed_blockjit()
     last_code = drive_to_disable(engine, shared)
     assert shared.optimization_disabled
     assert last_code is not None
     assert last_code._versions is None
 
-    reference = Engine(EngineConfig(enable_optimizer=False))
+    reference = Engine(EngineConfig(tier=Tier.INTERP))
     reference.load(SOURCE)
     for argument in range(-5, 50):
         assert engine.call_global("f", argument) == reference.call_global(
@@ -172,8 +177,7 @@ def test_reopt_budget_exhaustion_descends_with_distinct_counters():
     """Budget exhaustion rides the same ladder as storms but keeps its
     own books: ``budget_exhaustions``/``budget_disabled``, never
     ``storms_detected``/``storm_disabled``."""
-    engine, shared = warmed_blockjit(storm_strikes=99, max_reoptimizations=2,
-                                     tracejit=True)
+    engine, shared = warmed_blockjit(storm_strikes=99, max_reoptimizations=2)
     last_code = drive_to_disable(engine, shared)
     assert shared.optimization_disabled
     assert last_code is not None
@@ -181,7 +185,7 @@ def test_reopt_budget_exhaustion_descends_with_distinct_counters():
     assert last_code._traces is None
     assert last_code._typeflow is None
     stats = engine.resilience_stats()
-    assert stats["budget_exhaustions"] == RUNG_INTERP  # one per rung
+    assert stats["budget_exhaustions"] == INTERP_RUNG  # one per rung
     assert [name for name, _ in stats["budget_disabled"]] == ["f"]
     assert stats["storms_detected"] == 0
     assert stats["storm_disabled"] == []

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.engine import EngineConfig
+from repro.engine import Engine, EngineConfig
+from repro.machine.ladder import Tier
 from repro.supervise.bundles import list_bundles, load_bundle
-from repro.supervise.replay import replay_bundle
+from repro.supervise.replay import _rebuild_engine_config, replay_bundle
 from repro.suite.runner import BenchmarkRunner
 from repro.suite.spec import get_benchmark
 
@@ -13,7 +14,7 @@ def seed_divergence(tmp_path, monkeypatch, name="FIB", interval=7):
     """Provoke one fused-tier divergence via the chaos hook; return its
     bundle path."""
     monkeypatch.setenv("REPRO_BUNDLE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_CHAOS_AUDIT", "corrupt")
+    monkeypatch.setenv("REPRO_CHAOS_AUDIT", "block")
     runner = BenchmarkRunner(get_benchmark(name), EngineConfig(audit=interval))
     runner.run(iterations=14)
     bundles = [
@@ -56,24 +57,59 @@ class TestDivergenceReplay:
         assert "mystery" in result.detail
 
 
+class Bomb:
+    """An injector that fails the run deterministically."""
+
+    def before_iteration(self, engine, iteration):
+        if iteration == 2:
+            raise RuntimeError("deterministic boom")
+
+
+class TestBundlesKeepTheTier:
+    def test_pinned_tier_is_recorded_and_restored(self, tmp_path,
+                                                  monkeypatch):
+        """A run pinned in code records its tier and continuations, and
+        replay rebuilds those — not the ambient default."""
+        monkeypatch.setenv("REPRO_BUNDLE_DIR", str(tmp_path))
+        runner = BenchmarkRunner(
+            get_benchmark("FIB"),
+            EngineConfig(tier=Tier.BLOCK, continuations=False),
+        )
+        with pytest.raises(RuntimeError):
+            runner.run(iterations=5, injector=Bomb())
+        (bundle,) = list_bundles(tmp_path)
+        record = load_bundle(bundle)
+        assert record["config"]["tier"] == "block"
+        assert record["config"]["continuations"] is False
+        monkeypatch.setenv("REPRO_TIER", "trace")
+        monkeypatch.setenv("REPRO_CONTINUATIONS", "1")
+        engine = Engine(_rebuild_engine_config(record))
+        assert engine.tier is Tier.BLOCK
+        assert engine.continuations is None
+
+    def test_ambient_tier_is_resolved_into_the_record(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setenv("REPRO_BUNDLE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_TIER", "typed")
+        with pytest.raises(RuntimeError):
+            BenchmarkRunner(get_benchmark("FIB")).run(
+                iterations=5, injector=Bomb()
+            )
+        (bundle,) = list_bundles(tmp_path)
+        record = load_bundle(bundle)
+        assert record["config"]["tier"] == "typed"
+        assert record["config"]["continuations"] is True
+
+
 class TestEngineExceptionReplay:
     def test_injected_engine_exception_replays(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_BUNDLE_DIR", str(tmp_path))
-        from repro.resilience.oracle import differential_run
         from repro.resilience.faults import FaultPlan
 
         # An empty benchmark name inside the plan is fine; what matters is
         # a real failing run.  Use a fault plan aggressive enough to be
         # recorded, then synthesize failure via a bogus benchmark instead:
         # simpler and fully deterministic — BenchmarkRunner raises KeyError.
-        from repro.suite.runner import BenchmarkRunner
-        from repro.suite.spec import get_benchmark
-
-        class Bomb:
-            def before_iteration(self, engine, iteration):
-                if iteration == 2:
-                    raise RuntimeError("deterministic boom")
-
         runner = BenchmarkRunner(get_benchmark("FIB"), EngineConfig())
         with pytest.raises(RuntimeError):
             runner.run(iterations=5, injector=Bomb())
@@ -100,7 +136,8 @@ class TestOracleFailureCapture:
             __import__("repro.resilience.faults", fromlist=["plan_for"])
             .plan_for("FIB", seed=3, iterations=10),
             10,
-            mismatches=["iteration 4: optimized 5 != interpreter 8"],
+            oracle.CHAOS_TIERS,
+            ["iteration 4: optimized 5 != interpreter 8"],
         )
         bundles = [
             p for p in list_bundles(tmp_path)
@@ -110,3 +147,38 @@ class TestOracleFailureCapture:
         record = load_bundle(bundles[0])
         assert record["fault_plan"]["benchmark"] == "FIB"
         assert record["mismatches"]
+        assert record["tiers"] == ["interp", "deoptless"]
+
+    def test_replay_reruns_exactly_the_recorded_rungs(self, tmp_path,
+                                                      monkeypatch):
+        """A divergence on one ladder rung replays on that rung: the
+        bundle names the compared rungs and replay runs those, not the
+        default chaos pair."""
+        from repro.resilience import oracle
+        from repro.resilience.faults import FaultInjector, plan_for
+        from repro.values.tagged import is_smi
+
+        class TypedOnlyCorruption(FaultInjector):
+            def before_iteration(self, engine, iteration):
+                super().before_iteration(engine, iteration)
+                if iteration == 5 and engine.tier is Tier.TYPED:
+                    for name in engine.user_global_names():
+                        word = engine.get_global_word(name)
+                        if word is not None and is_smi(word):
+                            engine.set_global_word(name, engine.heap.to_word(7))
+                            return
+
+        monkeypatch.setenv("REPRO_BUNDLE_DIR", str(tmp_path))
+        monkeypatch.setattr(oracle, "FaultInjector", TypedOnlyCorruption)
+        tiers = (oracle.LADDER_BY_NAME["interp"], oracle.LADDER_BY_NAME["typed"])
+        outcome = oracle.matrix_run(
+            get_benchmark("PRIMES"), "arm64",
+            plan=plan_for("PRIMES", 0, 12), iterations=12, tiers=tiers,
+        )
+        assert not outcome.ok
+        (bundle,) = [
+            p for p in list_bundles(tmp_path)
+            if p.name.startswith("oracle-failure-")
+        ]
+        assert load_bundle(bundle)["tiers"] == ["interp", "typed"]
+        assert replay_bundle(bundle).reproduced

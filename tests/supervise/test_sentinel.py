@@ -3,15 +3,31 @@
 import pytest
 
 from repro.engine import Engine, EngineConfig
+from repro.machine.ladder import Tier
 from repro.supervise.sentinel import (
     DEFAULT_INTERVAL,
     DivergenceSentinel,
+    chaos_spec,
     resolve_audit_interval,
 )
 from repro.suite.runner import BenchmarkRunner
 from repro.suite.spec import get_benchmark
 
 SMOKE = ("FIB", "SPECTRAL", "JSONLIKE")
+
+
+class TestChaosSpec:
+    @pytest.mark.parametrize("raw,spec", [
+        ("block", ("block", 1)),
+        ("trace:3", ("trace", 3)),
+        ("dispatch:0", ("dispatch", 1)),
+        ("version:x", ("version", 1)),
+        ("", (None, 0)),
+        ("corrupt", (None, 0)),
+    ])
+    def test_one_variable_names_site_and_count(self, monkeypatch, raw, spec):
+        monkeypatch.setenv("REPRO_CHAOS_AUDIT", raw)
+        assert chaos_spec() == spec
 
 
 class TestResolveAuditInterval:
@@ -108,19 +124,19 @@ class TestCleanAudits:
     def test_env_arming(self, monkeypatch):
         monkeypatch.setenv("REPRO_AUDIT", "31")
         engine = Engine(EngineConfig())
-        if engine.executor.blockjit:
+        if engine.tier >= Tier.BLOCK:
             assert engine.executor._audit is not None
             assert engine.executor._audit.interval == 31
 
     def test_audit_without_blockjit_is_a_noop(self):
-        engine = Engine(EngineConfig(audit=5, blockjit=False))
+        engine = Engine(EngineConfig(audit=5, tier=Tier.OPT))
         assert engine.executor._audit is None
 
 
 class TestSeededDivergence:
     def test_corruption_demotes_and_keeps_running(self, monkeypatch):
         result, engine, sentinel = audited_run(
-            "FIB", interval=7, chaos="corrupt", monkeypatch=monkeypatch
+            "FIB", interval=7, chaos="block", monkeypatch=monkeypatch
         )
         assert sentinel.divergences == 1
         assert len(sentinel.demotions) == 1
@@ -132,7 +148,7 @@ class TestSeededDivergence:
 
     def test_demotion_is_scoped_to_one_code_object(self, monkeypatch):
         _result, engine, sentinel = audited_run(
-            "SPECTRAL", interval=7, chaos="corrupt", monkeypatch=monkeypatch
+            "SPECTRAL", interval=7, chaos="block", monkeypatch=monkeypatch
         )
         assert len(sentinel.demotions) == 1
         demoted = [
@@ -154,7 +170,7 @@ class TestSeededDivergence:
         monkeypatch.setenv("REPRO_BUNDLE_DIR", str(tmp_path))
         from repro.supervise.bundles import list_bundles, load_bundle
 
-        audited_run("FIB", interval=7, chaos="corrupt", monkeypatch=monkeypatch)
+        audited_run("FIB", interval=7, chaos="block", monkeypatch=monkeypatch)
         bundles = [
             p for p in list_bundles(tmp_path) if p.name.startswith("divergence-")
         ]
@@ -166,7 +182,7 @@ class TestSeededDivergence:
         assert record["audit_interval"] == 7
 
     def test_chaos_env_without_audit_does_nothing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_AUDIT", "corrupt")
+        monkeypatch.setenv("REPRO_CHAOS_AUDIT", "block")
         plain = BenchmarkRunner(get_benchmark("FIB"), EngineConfig()).run(
             iterations=14
         )
@@ -183,9 +199,9 @@ def traced_audited_run(name, interval, monkeypatch, chaos_trace=None,
     monkeypatch.setenv("REPRO_TRACEJIT_HOT", "8")
     monkeypatch.setenv("REPRO_TRACEJIT_ENTRY", "8")
     if chaos_trace is not None:
-        monkeypatch.setenv("REPRO_CHAOS_TRACE", chaos_trace)
+        monkeypatch.setenv("REPRO_CHAOS_AUDIT", chaos_trace)
     runner = BenchmarkRunner(
-        get_benchmark(name), EngineConfig(audit=interval, tracejit=True)
+        get_benchmark(name), EngineConfig(audit=interval, tier=Tier.TRACE)
     )
     result = runner.run(iterations=iterations)
     engine = runner.last_engine
@@ -210,7 +226,7 @@ class TestTraceAudits:
     def test_trace_corruption_demotes_and_keeps_running(self, monkeypatch):
         result, engine, sentinel = traced_audited_run(
             "MANDEL", interval=7, monkeypatch=monkeypatch,
-            chaos_trace="corrupt",
+            chaos_trace="trace",
         )
         assert sentinel.divergences == 1
         assert len(sentinel.demotions) == 1
@@ -237,7 +253,7 @@ class TestTraceAudits:
         from repro.supervise.bundles import list_bundles, load_bundle
 
         traced_audited_run("MANDEL", interval=7, monkeypatch=monkeypatch,
-                           chaos_trace="corrupt")
+                           chaos_trace="trace")
         bundles = [
             p for p in list_bundles(tmp_path)
             if p.name.startswith("divergence-")
@@ -251,5 +267,5 @@ class TestTraceAudits:
         assert trace["head"] in trace["chain"]
         assert isinstance(trace["cyclic"], bool)
         # Replays restore the trace knobs from the recorded env.
-        assert record["env"]["REPRO_CHAOS_TRACE"] == "corrupt"
+        assert record["env"]["REPRO_CHAOS_AUDIT"] == "trace"
         assert record["env"]["REPRO_TRACEJIT_HOT"] == "8"
