@@ -31,6 +31,8 @@ out-of-object backing store, which none of our workloads need.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
+from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .maps import ElementsKind, InstanceType, Map, MapRegistry
@@ -108,7 +110,11 @@ class Heap:
         # Address 0 is reserved so that no valid pointer is the NULL word.
         self.words: List[Word] = [None]
         self._sizes: Dict[int, int] = {}
-        self._free: List[Tuple[int, int]] = []  # (size, addr) blocks
+        # The free list, indexed by block size: a min-heap of (free-list
+        # position, addr) per size present, plus those sizes in order.
+        self._free: Dict[int, List[Tuple[int, int]]] = {}
+        self._free_sizes: List[int] = []
+        self._free_position = 0  # position of the next block swept
         self._map_cells: set = set()  # addresses of Map cells (immortal)
         self.maps = MapRegistry()
         self.allocations = 0
@@ -163,20 +169,41 @@ class Heap:
             raise HeapError(f"write out of heap at {address}+{offset}") from exc
 
     def _allocate(self, size: int) -> int:
-        """First-fit from the free list, else bump allocation."""
+        """First-fit from the free list, else bump allocation.
+
+        The block taken is the earliest in free-list order whose size is at
+        least ``size``: the lowest position at the head of any size heap at
+        or above the request.
+        """
         self.allocations += 1
         self.allocated_words += size
-        for index, (block_size, addr) in enumerate(self._free):
-            if block_size >= size:
-                if block_size == size:
-                    self._free.pop(index)
+        sizes = self._free_sizes
+        if sizes and sizes[-1] >= size:
+            free = self._free
+            best = index = bisect_left(sizes, size)
+            first = free[sizes[index]][0]
+            for other in range(index + 1, len(sizes)):
+                head = free[sizes[other]][0]
+                if head < first:
+                    best, first = other, head
+            block_size = sizes[best]
+            blocks = free[block_size]
+            heappop(blocks)
+            if not blocks:
+                del free[block_size]
+                del sizes[best]
+            position, addr = first
+            rest = block_size - size
+            if rest:
+                # Allocate from the front; the rest keeps the position.
+                if rest in free:
+                    heappush(free[rest], (position, addr + size))
                 else:
-                    # Allocate from the front of the block, shrink the rest.
-                    self._free[index] = (block_size - size, addr + size)
-                self._sizes[addr] = size
-                for i in range(size):
-                    self.words[addr + i] = None
-                return addr
+                    free[rest] = [(position, addr + size)]
+                    insort(sizes, rest)
+            self.words[addr:addr + size] = [None] * size
+            self._sizes[addr] = size
+            return addr
         addr = len(self.words)
         self.words.extend([None] * size)
         self._sizes[addr] = size
@@ -612,14 +639,20 @@ class Heap:
                 if is_heap_pointer(child):
                     worklist.append(pointer_untag(child))
         freed = 0
+        free = self._free
+        position = self._free_position
         for addr in list(self._sizes):
             if addr in marked:
                 continue
             size = self._sizes.pop(addr)
-            for i in range(size):
-                self.words[addr + i] = None
-            self._free.append((size, addr))
+            self.words[addr:addr + size] = [None] * size
+            # Later than every block already free, so appending keeps the
+            # heap ordered.
+            free.setdefault(size, []).append((position, addr))
+            position += 1
             freed += size
+        self._free_position = position
+        self._free_sizes = sorted(free)
         self.gc_stats.collections += 1
         self.gc_stats.words_freed += freed
         self.gc_stats.live_objects = len(marked)

@@ -1,5 +1,7 @@
 """Simulated-heap tests: allocation, object protocol, arrays, GC."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,6 +231,106 @@ class TestGC:
         heap.collect([])
         assert heap.gc_stats.collections == 1
         assert heap.gc_stats.words_freed >= 2
+
+    def test_split_remainder_keeps_its_free_list_place(self, heap):
+        a = pointer_untag(heap.alloc_object())  # 13 words
+        b = pointer_untag(heap.alloc_number(1.5))
+        assert b == a + 13
+        end = len(heap.words)
+        heap.collect([])
+        # A comes before the exact-size block B in sweep order, and the
+        # remainder of A keeps A's place ahead of B.
+        assert pointer_untag(heap.alloc_number(2.5)) == a
+        assert pointer_untag(heap.alloc_number(3.5)) == a + 2
+        # No free block holds 22 words.
+        assert pointer_untag(heap.alloc_fixed_array(20)) == end
+
+
+class FirstFitReference:
+    """The heap's allocation policy as a linear scan over the free list.
+
+    First fit in free-list order (sweep order, a split remainder keeping
+    its place), allocated from the block's front; no coalescing; bump
+    allocation when nothing fits.
+    """
+
+    def __init__(self, top):
+        self.top = top
+        self.live = {}  # addr -> size, in allocation order (= sweep order)
+        self.free = []  # (size, addr) in free-list order
+
+    def allocate(self, size):
+        for index, (block_size, addr) in enumerate(self.free):
+            if block_size >= size:
+                if block_size == size:
+                    del self.free[index]
+                else:
+                    self.free[index] = (block_size - size, addr + size)
+                break
+        else:
+            addr, self.top = self.top, self.top + size
+        self.live[addr] = size
+        return addr
+
+    def collect(self, keep):
+        freed = 0
+        for addr in list(self.live):
+            if addr not in keep:
+                size = self.live.pop(addr)
+                self.free.append((size, addr))
+                freed += size
+        return freed
+
+
+_HEAP_OPS = st.one_of(
+    st.tuples(st.sampled_from(["number", "string", "object"])),
+    st.tuples(st.just("fixed_array"), st.integers(0, 40)),
+    st.tuples(st.just("array"), st.sampled_from(list(ElementsKind)), st.integers(0, 40)),
+    st.tuples(st.just("collect"), st.integers(0, 2**32 - 1)),
+)
+
+
+class TestAddressContract:
+    """Every address and the heap's length match the first-fit reference.
+
+    Simulated cycles never read addresses, but ``Executor.trace`` feeds
+    them to the cache models, so the allocator's index must return exactly
+    the block the linear scan would.
+    """
+
+    @given(st.lists(_HEAP_OPS, max_size=150))
+    @settings(max_examples=150, deadline=None)
+    def test_addresses_match_linear_first_fit(self, ops):
+        heap = Heap()
+        ref = FirstFitReference(len(heap.words))
+        values = []  # (tagged word, addresses it keeps alive)
+        for op in ops:
+            kind = op[0]
+            if kind == "collect":
+                rng = random.Random(op[1])
+                values = [value for value in values if rng.random() < 0.5]
+                keep = {addr for _, addrs in values for addr in addrs}
+                assert heap.collect([word for word, _ in values]) == ref.collect(keep)
+                continue
+            if kind == "number":
+                word = heap.alloc_number(0.5)
+                addrs = (ref.allocate(2),)
+            elif kind == "string":
+                word = heap.alloc_string("s")
+                addrs = (ref.allocate(3),)
+            elif kind == "object":
+                word = heap.alloc_object()
+                addrs = (ref.allocate(1 + heap.object_capacity),)
+            elif kind == "fixed_array":
+                word = heap.alloc_fixed_array(op[1])
+                addrs = (ref.allocate(2 + op[1]),)
+            else:
+                word = heap.alloc_array(op[1], op[2])
+                addrs = (ref.allocate(2 + op[2]), ref.allocate(3))
+                assert heap.array_elements(word) == addrs[0]
+            assert pointer_untag(word) == addrs[-1]
+            values.append((word, addrs))
+        assert len(heap.words) == ref.top
 
 
 class TestReserveRegion:
