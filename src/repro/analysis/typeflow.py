@@ -916,6 +916,10 @@ class _Typeflow:
     # -- entry point ------------------------------------------------------
 
     def run(self) -> TypeflowResult:
+        """Finish an instance :class:`VersionAnalysis` prepared (sites
+        found, must-fixpoint converged) into the static result.  The
+        steps here only read ``sites`` and the must-facts, so the same
+        instance keeps serving the LBBV queries."""
         name = getattr(getattr(self.code.shared, "info", None), "name", "?")
         result = TypeflowResult(function=name, target=self.code.target.name)
         result.body_instructions = sum(
@@ -923,8 +927,6 @@ class _Typeflow:
         )
         if not self.instrs:
             return result
-        self._find_sites()
-        self._run_must()
         self._run_may()
         result.flags_live = self._compute_flags_live()
         result.classifications = self._classify()
@@ -983,8 +985,9 @@ class VersionAnalysis:
     """Per-code-object analysis context for runtime block versioning.
 
     Wraps the prepared must-analysis (:class:`_Typeflow` after site
-    discovery and fixpoint) and exposes the two queries the LBBV tier
-    needs beyond the static result:
+    discovery and fixpoint; :func:`analyze_typeflow` finishes the same
+    instance into the static result) and exposes the two queries the
+    LBBV tier needs beyond the static result:
 
     * :meth:`out_states` — per-edge *outgoing* type-states under an
       arbitrary (version-specific) entry state, computed by the same
@@ -1121,11 +1124,13 @@ def analyze_typeflow(code: CodeObject) -> TypeflowResult:
 
     Code objects are immutable once generation finishes, so the result
     is cached on ``code._typeflow`` exactly like ``_decoded``/``_blocks``.
+    It finishes the must-analysis :func:`version_analysis` prepared, so
+    typed plans and block versions share one fixpoint per code object.
     """
     cached = getattr(code, "_typeflow", None)
     if cached is not None:
         return cached
-    result = _Typeflow(code).run()
+    result = version_analysis(code)._tf.run()
     code._typeflow = result
     return result
 

@@ -91,8 +91,8 @@ class CodeObject:
         #: cached repro.analysis.typeflow result (immutable, like _decoded).
         self._typeflow: Optional[object] = None
         #: cached repro.analysis.typeflow.VersionAnalysis context (the
-        #: prepared must-analysis the LBBV tier queries per version key);
-        #: immutable and never invalidated, like _typeflow.
+        #: prepared must-analysis the LBBV tier queries per version key
+        #: and _typeflow is finished from); never invalidated.
         self._version_analysis: Optional[object] = None
         #: per-check summary exported by the IR pipeline (pass-level check
         #: counts before/after elimination), attached by generate_code for

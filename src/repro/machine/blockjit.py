@@ -20,7 +20,7 @@ basic blocks and translates every block into one fused Python closure (a
 * returns the next block id.
 
 Fidelity discipline follows Deoptless (Flückiger et al., 2022): the fast
-path may *bail out*, never diverge.  Each block therefore also compiles a
+path may *bail out*, never diverge.  Each block therefore also has a
 **stepped twin** — same generated statements, plus the step loop's per-pc
 cycle/sampler prologue — and the driver in
 :meth:`repro.machine.executor.Executor._run_blocks` routes a block
@@ -31,6 +31,11 @@ through its twin whenever per-instruction fidelity is required:
 * an injected deopt trip is pending
   (:attr:`Executor.forced_deopt_trips`), so the trip lands on the exact
   deopt branch the step loop would have tripped.
+
+The divergence sentinel's audits and demotions run twins too.  Most
+blocks never meet any of these, so a twin is compiled on its block's
+first stepped call (see :meth:`_BlockCompiler._lazy_twin`), not with the
+code object's module.
 
 Instruction tracing for the pipeline models disables block mode entirely
 (the step loop is the only tier that materializes traces).
@@ -157,7 +162,8 @@ def block_spans(instrs) -> List[Tuple[int, int]]:
 class Block:
     """One compiled basic block: fused + stepped closures and static
     per-execution statistics (charged block-at-a-time by a generated
-    prologue inside each closure)."""
+    prologue inside each closure).  ``stepped`` is a placeholder until
+    the twin's first call compiles it."""
 
     __slots__ = (
         "start",
@@ -310,7 +316,8 @@ _FRR_INFIX = {operator.add: "+", operator.sub: "-", operator.mul: "*"}
 
 
 def compile_blocks(code: "CodeObject", executor: "Executor") -> BlockTable:
-    """Partition ``code`` and compile every block's fused/stepped closures."""
+    """Partition ``code`` and compile every block's fused closure (stepped
+    twins compile on first use)."""
     return _BlockCompiler(code, executor).compile()
 
 
@@ -425,20 +432,49 @@ class _BlockCompiler:
         # One compile()/exec for the whole code object: with ~3 instructions
         # per block, per-call compile() overhead would otherwise dominate
         # the first-run cost of every cell.
-        source = "\n".join(sources)
+        self._exec("\n".join(sources))
+        for bid, block in enumerate(table.blocks):
+            block.fused = self.glb.pop(f"_blk_f{bid}")
+            block.stepped = self._lazy_twin(table, bid)
+            # _blk_g{bid} generic fallbacks stay in glb: typed closures
+            # resolve them as globals on guard failure.
+        table.driver = [(b.total_cost, b.fused, b.stepped) for b in table.blocks]
+        return table
+
+    def _lazy_twin(self, table: BlockTable, bid: int):
+        """Placeholder for block ``bid``'s stepped twin.
+
+        Its first call compiles the twin, swaps it into every driver slot
+        still holding the placeholder (the base slot, LBBV version slots
+        that copied ``block.stepped``, slots a demotion rewrote), each
+        slot keeping its cost, and calls through with the entry state
+        untouched — the idiom of the LBBV tier's lazy version bodies.
+        """
+        block = table.blocks[bid]
+        start, end = table.spans[bid]
+
+        def _placeholder(*args):
+            if block.stepped is _placeholder:
+                self._exec(self._assemble(bid, start, end, block, stepped=True))
+                block.stepped = self.glb.pop(f"_blk_s{bid}")
+                driver = table.driver
+                for index, (cost, fused, stepped) in enumerate(driver):
+                    if stepped is _placeholder:
+                        driver[index] = (cost, fused, block.stepped)
+            # A caller holding a stale reference reaches the compiled twin.
+            return block.stepped(*args)
+
+        return _placeholder
+
+    def _exec(self, source: str) -> None:
+        """Compile ``source`` through the process-wide memo and run it in
+        this code object's globals."""
         compiled = _COMPILED_SOURCES.get(source)
         if compiled is None:
             compiled = _COMPILED_SOURCES[source] = compile(
                 source, "<blockjit>", "exec"
             )
         exec(compiled, self.glb)  # noqa: S102 - generated from decoded instrs
-        for bid, block in enumerate(table.blocks):
-            block.fused = self.glb.pop(f"_blk_f{bid}")
-            block.stepped = self.glb.pop(f"_blk_s{bid}")
-            # _blk_g{bid} generic fallbacks stay in glb: typed closures
-            # resolve them as globals on guard failure.
-        table.driver = [(b.total_cost, b.fused, b.stepped) for b in table.blocks]
-        return table
 
     def _compile_block(
         self, bid: int, start: int, end: int, sources: List[str]
@@ -459,8 +495,9 @@ class _BlockCompiler:
         if plan is not None:
             # The fused slot gets the typed variant; the generic body is
             # kept (as _blk_g{bid}) only when a guard can actually fail
-            # into it.  The stepped twin below is always generic — it is
-            # the timing/sampling reference the sentinel diffs against.
+            # into it.  The stepped twin (_lazy_twin) is always generic —
+            # it is the timing/sampling reference the sentinel diffs
+            # against.
             sources.append(
                 self._assemble(bid, start, end, block, stepped=False, plan=plan)
             )
@@ -471,7 +508,6 @@ class _BlockCompiler:
                 )
         else:
             sources.append(self._assemble(bid, start, end, block, stepped=False))
-        sources.append(self._assemble(bid, start, end, block, stepped=True))
         return block
 
     def _stats_prologue(self, block: Block) -> List[str]:

@@ -20,6 +20,7 @@ from repro.analysis.typeflow import (
     cross_validate,
     join_typeval,
     typed_plans,
+    version_analysis,
 )
 from repro.engine import EngineConfig
 from repro.isa.base import ARM64, CC, MachineInstr, MOp
@@ -151,6 +152,44 @@ def test_cross_validation_clean_on_real_run():
     )
     assert sum(engine.check_trips.values()) > 0  # FIB warmup does deopt
     assert cross_validate(engine._code_objects, engine.check_trips) == []
+
+
+@pytest.mark.parametrize("target", ["arm64", "x64"])
+@pytest.mark.parametrize("name", ["AES2", "SPLAY"])
+def test_one_must_analysis_feeds_plans_and_versions(name, target, monkeypatch):
+    """Typed plans and the LBBV context share one prepared analysis: the
+    must-fixpoint runs once per code object, and finishing the static
+    result leaves the state the version queries read exactly as an
+    independently prepared analysis computes it."""
+    engine = compile_benchmark(
+        get_benchmark(name),
+        EngineConfig(target=target, tier=Tier.OPT, verify=False),
+        iterations=12,
+    )
+    codes = [code for code in engine._code_objects if code.instrs]
+    assert codes
+    run_must = typeflow._Typeflow._run_must
+    runs = []
+
+    def counted(self):
+        runs.append(self.code)
+        run_must(self)
+
+    monkeypatch.setattr(typeflow._Typeflow, "_run_must", counted)
+    for code in codes:
+        code._typeflow = code._version_analysis = None
+        runs.clear()
+        typed_plans(code)
+        ctx = version_analysis(code)
+        assert runs == [code]
+
+        reference = typeflow._Typeflow(code)
+        reference._find_sites()
+        run_must(reference)
+        assert ctx.static_entry == reference.entry_facts
+        assert ctx.sites == reference.sites
+        for bid, entry in reference.entry_facts.items():
+            assert ctx.out_states(bid, entry) == reference._out_edges(bid, entry)
 
 
 # -- seeded unsoundness (mutation test) -----------------------------------

@@ -12,11 +12,16 @@ with the block executors on (``EngineConfig(tier=Tier.TRACE)``) and off
 * ``test_full_sweep_identity`` (marked slow) widens to every benchmark on
   both ISAs in all three modes — the acceptance sweep, also runnable as
   ``scripts/blockjit_sweep.py``.
+
+Stepped twins compile on their first call, so the sampled, injected and
+sweep tests above also exercise that path; the lazy-twin tests below pin
+its bookkeeping.
 """
 
 import pytest
 
 from repro.engine import Engine, EngineConfig
+from repro.machine import blockjit
 from repro.machine.ladder import Tier
 from repro.profiling.sampler import attach_sampler, window_straddles_tick
 from repro.resilience.faults import FaultInjector, plan_for
@@ -162,3 +167,112 @@ def test_full_sweep_identity(spec, target):
     assert run_fingerprint(spec.name, target, False, inject=True) == run_fingerprint(
         spec.name, target, True, inject=True
     )
+
+
+# -- lazy stepped twins ----------------------------------------------------
+
+
+def test_unsampled_run_compiles_no_stepped_twin(monkeypatch):
+    """Nothing samples, injects or audits, so no block is ever routed
+    through its twin and no twin source reaches ``compile()``."""
+    sources = []
+
+    def counting_compile(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.delenv("REPRO_AUDIT", raising=False)
+    monkeypatch.setattr(blockjit, "_COMPILED_SOURCES", {})
+    monkeypatch.setattr(blockjit, "compile", counting_compile, raising=False)
+    for target in TARGETS:
+        for name in ("AES2", "FIB", "SPECTRAL"):
+            run_fingerprint(name, target, True)
+    assert any("def _blk_f" in source for source in sources)
+    assert sum(source.count("def _blk_s") for source in sources) == 0
+
+
+def warmed_lbbv_engine():
+    """AES2 past tier-up on the lbbv rung, unsampled and unaudited: its
+    version slots exist and no twin has been called yet."""
+    runner = BenchmarkRunner(
+        get_benchmark("AES2"),
+        EngineConfig(target="arm64", tier=Tier.LBBV, audit=False),
+    )
+    runner.run(iterations=12)
+    return runner.last_engine
+
+
+def step_once(engine, code, stepped):
+    """Call one stepped entry of an auditable AES2 block on a zeroed
+    state: every register, frame slot and heap word 0.  AES2 is integer
+    code, so any such block then runs cleanly, leaving the real heap
+    alone."""
+    stepped(
+        [0] * code.target.gpr_count, [0.0] * code.target.fpr_count,
+        [0] * max(1, code.stack_slots), [0, 0, 0],
+        [0] * len(engine.executor.heap.words), 0.0,
+    )
+
+
+def assert_swapped(table, before, placeholder, twin):
+    """Every slot that held ``placeholder`` now holds ``twin`` with its
+    own cost and fused entry; every other slot is untouched."""
+    held = [i for i, entry in enumerate(before) if entry[2] is placeholder]
+    assert held
+    for index, (cost, fused, stepped) in enumerate(table.driver):
+        old_cost, old_fused, old_stepped = before[index]
+        assert cost == old_cost
+        assert fused is old_fused
+        assert stepped is (twin if index in held else old_stepped)
+    return held
+
+
+def lazy_twin_slots(engine):
+    """(code, table, base bid, version driver index) for every version
+    slot of an auditable block whose twin is still its placeholder."""
+    found = []
+    for code in engine._code_objects:
+        table, versions = code._blocks, code._versions
+        if table is None or versions is None or versions.table is not table:
+            continue
+        for index, version in sorted(versions.by_index.items()):
+            bid = version.bid
+            if table.auditable[bid] and \
+                    table.driver[index][2] is table.blocks[bid].stepped:
+                found.append((code, table, bid, index))
+    return found
+
+
+def test_twin_first_reached_through_a_version_slot():
+    engine = warmed_lbbv_engine()
+    slots = lazy_twin_slots(engine)
+    assert slots, "no version slot of an auditable block"
+    code, table, bid, index = slots[0]
+    placeholder = table.blocks[bid].stepped
+    before = list(table.driver)
+    step_once(engine, code, table.driver[index][2])
+    twin = table.blocks[bid].stepped
+    assert twin is not placeholder
+    held = assert_swapped(table, before, placeholder, twin)
+    assert bid in held and index in held
+    # A call through a stale reference runs the twin, compiling nothing.
+    after = list(table.driver)
+    step_once(engine, code, placeholder)
+    assert table.blocks[bid].stepped is twin
+    assert table.driver == after
+
+
+def test_twin_first_reached_after_demotion():
+    engine = warmed_lbbv_engine()
+    slots = lazy_twin_slots(engine)
+    assert slots, "no version slot of an auditable block"
+    code, table, bid, index = slots[-1]
+    table.demote()
+    placeholder = table.blocks[bid].stepped
+    before = list(table.driver)
+    step_once(engine, code, table.driver[bid][2])
+    twin = table.blocks[bid].stepped
+    assert twin is not placeholder
+    held = assert_swapped(table, before, placeholder, twin)
+    assert bid in held and index in held
+    assert all(table.driver[i][0] == float("inf") for i in held)
