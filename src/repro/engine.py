@@ -53,7 +53,14 @@ from .values.heap import (
     JS_FUNCTION_SHARED_OFFSET,
     Heap,
 )
-from .values.maps import ElementsKind, InstanceType
+from .values.maps import (
+    JS_ARRAY_TYPE,
+    JS_FUNCTION_TYPE,
+    JS_OBJECT_TYPE,
+    PACKED_ELEMENTS,
+    PACKED_SMI_ELEMENTS,
+    STRING_TYPE,
+)
 from .values.tagged import TagConfig, is_smi, pointer_untag
 
 _GLOBAL_CELL_CAPACITY = 4096
@@ -419,8 +426,8 @@ class Engine:
     def shared_index_of_function(self, word: int) -> int:
         if is_smi(word):
             return -1
-        addr = pointer_untag(word)
-        if self.heap.map_of(addr).instance_type != InstanceType.JS_FUNCTION:
+        addr = word >> 1
+        if self.heap.map_of(addr).instance_type != JS_FUNCTION_TYPE:
             return -1
         index = self.heap.read(addr, JS_FUNCTION_SHARED_OFFSET)
         assert isinstance(index, int)
@@ -506,8 +513,8 @@ class Engine:
         self.charge(20, "builtin")  # allocation + map setup
         result = self.call_shared(index, this_word, args)
         if not is_smi(result):
-            itype = self.heap.map_of(pointer_untag(result)).instance_type
-            if itype in (InstanceType.JS_OBJECT, InstanceType.JS_ARRAY):
+            itype = self.heap.map_of(result >> 1).instance_type
+            if itype == JS_OBJECT_TYPE or itype == JS_ARRAY_TYPE:
                 return result
         return this_word
 
@@ -920,8 +927,7 @@ class Engine:
     def regex_from_word(self, word: int) -> Optional[Regex]:
         if is_smi(word):
             return None
-        addr = pointer_untag(word)
-        if self.heap.map_of(addr).instance_type != InstanceType.JS_OBJECT:
+        if self.heap.map_of(word >> 1).instance_type != JS_OBJECT_TYPE:
             return None
         marker = self.heap.object_get_property(word, self._regex_marker)
         if marker is None or not is_smi(marker):
@@ -937,16 +943,16 @@ class Engine:
     ) -> int:
         heap = self.heap
         if not is_smi(receiver):
-            itype = heap.map_of(pointer_untag(receiver)).instance_type
-            if itype == InstanceType.STRING:
+            itype = heap.map_of(receiver >> 1).instance_type
+            if itype == STRING_TYPE:
                 result, cost = builtin_impls.string_method(self, receiver, name, args)
                 self.charge(cost, "builtin")
                 return result
-            if itype == InstanceType.JS_ARRAY:
+            if itype == JS_ARRAY_TYPE:
                 result, cost = builtin_impls.array_method(self, receiver, name, args)
                 self.charge(cost, "builtin")
                 return result
-            if itype == InstanceType.JS_OBJECT:
+            if itype == JS_OBJECT_TYPE:
                 regex = self.regex_from_word(receiver)
                 if regex is not None:
                     return self._regex_method(regex, name, args)
@@ -966,7 +972,7 @@ class Engine:
             if match is None:
                 self.charge(cost, "builtin")
                 return heap.null
-            result = heap.alloc_array(ElementsKind.PACKED, 1 + match.group_count)
+            result = heap.alloc_array(PACKED_ELEMENTS, 1 + match.group_count)
             heap.array_set(result, 0, heap.alloc_string(match.matched))
             for g in range(1, match.group_count + 1):
                 group = match.group(g)
@@ -1048,7 +1054,7 @@ class Engine:
                 else 0
             )
             return (
-                engine.heap.alloc_array(ElementsKind.PACKED_SMI, length),
+                engine.heap.alloc_array(PACKED_SMI_ELEMENTS, length),
                 15 + length // 4,
             )
 
@@ -1174,7 +1180,7 @@ def _build_runtime_table() -> Dict[str, Callable]:
 
     def rt_set_property_generic(engine: Engine, extra, args, _fregs):
         engine.charge(34, "builtin")
-        engine.heap.object_set_property(args[0], str(extra), args[1])
+        runtime.js_set_property(engine.heap, args[0], str(extra), args[1])
         return engine.heap.undefined
 
     table["set_property_generic"] = rt_set_property_generic
@@ -1198,8 +1204,8 @@ def _build_runtime_table() -> Dict[str, Callable]:
         name = str(extra)
         heap = engine.heap
         if not is_smi(receiver):
-            itype = heap.map_of(pointer_untag(receiver)).instance_type
-            if itype == InstanceType.JS_OBJECT and engine.regex_from_word(receiver) is None:
+            itype = heap.map_of(receiver >> 1).instance_type
+            if itype == JS_OBJECT_TYPE and engine.regex_from_word(receiver) is None:
                 method = heap.object_get_property(receiver, name)
                 if method is not None and method != heap.undefined:
                     return engine.call_value(method, receiver, args[1:], None)
@@ -1209,7 +1215,7 @@ def _build_runtime_table() -> Dict[str, Callable]:
 
     def rt_create_array(engine: Engine, _extra, args, _fregs):
         heap = engine.heap
-        kind = ElementsKind.PACKED_SMI
+        kind = PACKED_SMI_ELEMENTS
         for word in args:
             kind = max(kind, heap._kind_of_value(word))
         array = heap.alloc_array(kind, len(args))
@@ -1256,13 +1262,12 @@ def _generic_get_property(engine: Engine, receiver: int, name: str) -> int:
     heap = engine.heap
     if is_smi(receiver):
         raise JSTypeError(f"cannot read {name!r} of a number")
-    addr = pointer_untag(receiver)
-    itype = heap.map_of(addr).instance_type
-    if itype == InstanceType.JS_ARRAY and name == "length":
+    itype = heap.map_of(receiver >> 1).instance_type
+    if itype == JS_ARRAY_TYPE and name == "length":
         return heap.to_word(heap.array_length(receiver))
-    if itype == InstanceType.STRING and name == "length":
+    if itype == STRING_TYPE and name == "length":
         return heap.to_word(len(heap.string_value(receiver)))
-    if itype in (InstanceType.JS_OBJECT, InstanceType.JS_ARRAY):
+    if itype == JS_OBJECT_TYPE or itype == JS_ARRAY_TYPE:
         value = heap.object_get_property(receiver, name)
         return value if value is not None else heap.undefined
     raise JSTypeError(f"cannot read {name!r}")
@@ -1270,19 +1275,20 @@ def _generic_get_property(engine: Engine, receiver: int, name: str) -> int:
 
 def _generic_get_element(engine: Engine, receiver: int, key: int) -> int:
     heap = engine.heap
-    if not is_smi(key):
-        if runtime.is_string(heap, key):
-            return _generic_get_property(engine, receiver, heap.string_value(key))
-        key = heap.to_word(int(runtime.js_to_number(heap, key)))
+    if is_smi(key):
+        index = key >> 1
+    elif runtime.is_string(heap, key):
+        return _generic_get_property(engine, receiver, heap.string_value(key))
+    else:
+        index = runtime.element_index(heap, key)
     if is_smi(receiver):
         raise JSTypeError("cannot index a number")
-    index = key >> 1
-    itype = heap.map_of(pointer_untag(receiver)).instance_type
-    if itype == InstanceType.JS_ARRAY:
+    itype = heap.map_of(receiver >> 1).instance_type
+    if itype == JS_ARRAY_TYPE:
         if 0 <= index < heap.array_length(receiver):
             return heap.array_get(receiver, index)
         return heap.undefined
-    if itype == InstanceType.STRING:
+    if itype == STRING_TYPE:
         text = heap.string_value(receiver)
         if 0 <= index < len(text):
             return heap.alloc_string(text[index])
@@ -1292,12 +1298,15 @@ def _generic_get_element(engine: Engine, receiver: int, key: int) -> int:
 
 def _generic_set_element(engine: Engine, receiver: int, key: int, value: int) -> None:
     heap = engine.heap
-    if not is_smi(key):
-        if runtime.is_string(heap, key):
-            heap.object_set_property(receiver, heap.string_value(key), value)
-            return
-        key = heap.to_word(int(runtime.js_to_number(heap, key)))
-    index = key >> 1
+    if is_smi(key):
+        index = key >> 1
+    elif runtime.is_string(heap, key):
+        runtime.js_set_property(heap, receiver, heap.string_value(key), value)
+        return
+    else:
+        index = runtime.element_index(heap, key)
+    if is_smi(receiver) or heap.map_of(receiver >> 1).instance_type != JS_ARRAY_TYPE:
+        raise JSTypeError("value is not indexable")
     length = heap.array_length(receiver)
     if index == length:
         heap.array_push(receiver, value)

@@ -33,16 +33,7 @@ class OperandFeedback(IntEnum):
     ANY = 4
 
     def union(self, other: "OperandFeedback") -> "OperandFeedback":
-        if self == OperandFeedback.NONE:
-            return other
-        if other == OperandFeedback.NONE:
-            return self
-        if self == other:
-            return self
-        both = {self, other}
-        if both <= {OperandFeedback.SIGNED_SMALL, OperandFeedback.NUMBER}:
-            return OperandFeedback.NUMBER
-        return OperandFeedback.ANY
+        return _UNION[self][other]
 
 
 class ICState(IntEnum):
@@ -54,16 +45,46 @@ class ICState(IntEnum):
     MEGAMORPHIC = 3
 
 
+# The members again as module-level names: reading ``ICState.MONOMORPHIC``
+# off the enum class costs several times a global lookup, on every test.
+NONE_FEEDBACK = OperandFeedback.NONE
+SIGNED_SMALL_FEEDBACK = OperandFeedback.SIGNED_SMALL
+NUMBER_FEEDBACK = OperandFeedback.NUMBER
+STRING_FEEDBACK = OperandFeedback.STRING
+ANY_FEEDBACK = OperandFeedback.ANY
+UNINITIALIZED = ICState.UNINITIALIZED
+MONOMORPHIC = ICState.MONOMORPHIC
+POLYMORPHIC = ICState.POLYMORPHIC
+MEGAMORPHIC = ICState.MEGAMORPHIC
+
+
+def _join(a: OperandFeedback, b: OperandFeedback) -> OperandFeedback:
+    """Least upper bound: NONE is the identity, SIGNED_SMALL and NUMBER
+    join to NUMBER, and any other two distinct states join to ANY."""
+    if a == b or b == NONE_FEEDBACK:
+        return a
+    if a == NONE_FEEDBACK:
+        return b
+    if {a, b} == {SIGNED_SMALL_FEEDBACK, NUMBER_FEEDBACK}:
+        return NUMBER_FEEDBACK
+    return ANY_FEEDBACK
+
+
+#: ``_UNION[a][b]`` is ``a.union(b)``, built once at import (members are
+#: numbered 0-4 in definition order, so they index the table directly).
+_UNION = tuple(tuple(_join(a, b) for b in OperandFeedback) for a in OperandFeedback)
+
+
 class BinaryOpSlot:
     """Feedback for one arithmetic/compare site."""
 
     __slots__ = ("state",)
 
     def __init__(self) -> None:
-        self.state = OperandFeedback.NONE
+        self.state = NONE_FEEDBACK
 
     def record(self, observed: OperandFeedback) -> None:
-        self.state = self.state.union(observed)
+        self.state = _UNION[self.state][observed]
 
 
 class PropertySlot:
@@ -72,7 +93,7 @@ class PropertySlot:
     __slots__ = ("state", "maps", "offsets", "saw_transition")
 
     def __init__(self) -> None:
-        self.state = ICState.UNINITIALIZED
+        self.state = UNINITIALIZED
         self.maps: List[Map] = []
         self.offsets: List[int] = []
         self.saw_transition = False
@@ -80,28 +101,26 @@ class PropertySlot:
     def record(self, receiver_map: Map, offset: int, transition: bool = False) -> None:
         if transition:
             self.saw_transition = True
-        if self.state == ICState.MEGAMORPHIC:
+        if self.state == MEGAMORPHIC:
             return
         if receiver_map in self.maps:
             index = self.maps.index(receiver_map)
             if self.offsets[index] != offset:
                 # Same map, different slot should be impossible; defensive.
-                self.state = ICState.MEGAMORPHIC
+                self.state = MEGAMORPHIC
             return
         if len(self.maps) >= POLYMORPHIC_LIMIT:
-            self.state = ICState.MEGAMORPHIC
+            self.state = MEGAMORPHIC
             self.maps = []
             self.offsets = []
             return
         self.maps.append(receiver_map)
         self.offsets.append(offset)
-        self.state = (
-            ICState.MONOMORPHIC if len(self.maps) == 1 else ICState.POLYMORPHIC
-        )
+        self.state = MONOMORPHIC if len(self.maps) == 1 else POLYMORPHIC
 
     @property
     def monomorphic_map(self) -> Optional[Map]:
-        return self.maps[0] if self.state == ICState.MONOMORPHIC else None
+        return self.maps[0] if self.state == MONOMORPHIC else None
 
 
 class ElementSlot:
@@ -110,28 +129,26 @@ class ElementSlot:
     __slots__ = ("state", "maps", "saw_out_of_bounds", "saw_non_smi_index")
 
     def __init__(self) -> None:
-        self.state = ICState.UNINITIALIZED
+        self.state = UNINITIALIZED
         self.maps: List[Map] = []
         self.saw_out_of_bounds = False
         self.saw_non_smi_index = False
 
     def record(self, receiver_map: Map) -> None:
-        if self.state == ICState.MEGAMORPHIC:
+        if self.state == MEGAMORPHIC:
             return
         if receiver_map in self.maps:
             return
         if len(self.maps) >= POLYMORPHIC_LIMIT:
-            self.state = ICState.MEGAMORPHIC
+            self.state = MEGAMORPHIC
             self.maps = []
             return
         self.maps.append(receiver_map)
-        self.state = (
-            ICState.MONOMORPHIC if len(self.maps) == 1 else ICState.POLYMORPHIC
-        )
+        self.state = MONOMORPHIC if len(self.maps) == 1 else POLYMORPHIC
 
     @property
     def monomorphic_map(self) -> Optional[Map]:
-        return self.maps[0] if self.state == ICState.MONOMORPHIC else None
+        return self.maps[0] if self.state == MONOMORPHIC else None
 
 
 class CallSlot:
@@ -147,7 +164,7 @@ class CallSlot:
     )
 
     def __init__(self) -> None:
-        self.state = ICState.UNINITIALIZED
+        self.state = UNINITIALIZED
         self.target_shared_index = -1
         self.is_method = False
         # For method calls on primitives: ("string", "charCodeAt") etc.
@@ -157,47 +174,47 @@ class CallSlot:
         self.method_offset = -1
 
     def record_target(self, shared_index: int) -> None:
-        if self.state == ICState.UNINITIALIZED:
-            self.state = ICState.MONOMORPHIC
+        if self.state == UNINITIALIZED:
+            self.state = MONOMORPHIC
             self.target_shared_index = shared_index
         elif (
-            self.state == ICState.MONOMORPHIC
+            self.state == MONOMORPHIC
             and self.target_shared_index != shared_index
         ):
-            self.state = ICState.MEGAMORPHIC
+            self.state = MEGAMORPHIC
             self.target_shared_index = -1
 
     def record_primitive_method(
         self, receiver_kind: str, method: str, receiver_map: Optional[Map] = None
     ) -> None:
         key = (receiver_kind, method)
-        if self.state == ICState.UNINITIALIZED:
-            self.state = ICState.MONOMORPHIC
+        if self.state == UNINITIALIZED:
+            self.state = MONOMORPHIC
             self.method_kind = key
             self.receiver_map = receiver_map
-        elif self.state == ICState.MONOMORPHIC and (
+        elif self.state == MONOMORPHIC and (
             self.method_kind != key
             or (receiver_map is not None and self.receiver_map is not receiver_map)
         ):
-            self.state = ICState.MEGAMORPHIC
+            self.state = MEGAMORPHIC
             self.method_kind = None
             self.receiver_map = None
 
     def record_object_method(
         self, receiver_map: Map, method_offset: int, shared_index: int
     ) -> None:
-        if self.state == ICState.UNINITIALIZED:
-            self.state = ICState.MONOMORPHIC
+        if self.state == UNINITIALIZED:
+            self.state = MONOMORPHIC
             self.is_method = True
             self.receiver_map = receiver_map
             self.method_offset = method_offset
             self.target_shared_index = shared_index
-        elif self.state == ICState.MONOMORPHIC and (
+        elif self.state == MONOMORPHIC and (
             self.receiver_map is not receiver_map
             or self.method_offset != method_offset
             or self.target_shared_index != shared_index
         ):
-            self.state = ICState.MEGAMORPHIC
+            self.state = MEGAMORPHIC
             self.receiver_map = None
             self.method_offset = -1
             self.target_shared_index = -1

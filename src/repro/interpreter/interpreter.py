@@ -13,10 +13,10 @@ from typing import List, Sequence
 from ..bytecode.opcodes import FunctionInfo, Instr, Op
 from ..lang.errors import JSTypeError
 from ..values.heap import Heap
-from ..values.maps import ElementsKind, InstanceType
-from ..values.tagged import is_smi, pointer_untag, smi_untag
+from ..values.maps import JS_ARRAY_TYPE, JS_OBJECT_TYPE, PACKED_SMI_ELEMENTS, STRING_TYPE
+from ..values.tagged import is_smi
 from . import runtime
-from .feedback import FeedbackVector, OperandFeedback
+from .feedback import ANY_FEEDBACK, NUMBER_FEEDBACK, SIGNED_SMALL_FEEDBACK, FeedbackVector
 
 #: Simulated cycles charged per interpreted bytecode (handler dispatch +
 #: work).  Roughly calibrated so that optimized code runs ~2.5x faster in
@@ -38,6 +38,8 @@ _OP_EXTRA_COST = {
     Op.LOAD_GLOBAL: 3,
     Op.STORE_GLOBAL: 3,
 }
+#: The full charge of each opcode, built once: one lookup per step.
+_OP_COST = {op: INTERP_BASE_COST + _OP_EXTRA_COST.get(op, 0) for op in Op}
 
 _BINARY_DISPATCH = {
     Op.ADD: runtime.js_add,
@@ -62,6 +64,38 @@ _COMPARE_NAMES = {
     Op.TEST_GT: "gt",
     Op.TEST_GE: "ge",
 }
+
+# The opcodes ``run_from`` tests one by one, bound to module-level names:
+# reading ``Op.MOVE`` off the enum class costs several times a global
+# lookup, and the dispatch chain makes a few such tests per bytecode.
+MOVE = Op.MOVE
+LOAD_CONST = Op.LOAD_CONST
+LOAD_GLOBAL = Op.LOAD_GLOBAL
+JUMP_IF_FALSE = Op.JUMP_IF_FALSE
+GET_ELEMENT = Op.GET_ELEMENT
+JUMP = Op.JUMP
+SET_ELEMENT = Op.SET_ELEMENT
+CALL = Op.CALL
+TEST_EQ = Op.TEST_EQ
+TEST_NE = Op.TEST_NE
+CALL_METHOD = Op.CALL_METHOD
+GET_PROPERTY = Op.GET_PROPERTY
+JUMP_IF_TRUE = Op.JUMP_IF_TRUE
+RETURN = Op.RETURN
+NEG = Op.NEG
+SET_PROPERTY = Op.SET_PROPERTY
+STORE_GLOBAL = Op.STORE_GLOBAL
+NEW = Op.NEW
+LOAD_THIS = Op.LOAD_THIS
+TEST_EQ_STRICT = Op.TEST_EQ_STRICT
+TEST_NE_STRICT = Op.TEST_NE_STRICT
+CREATE_ARRAY = Op.CREATE_ARRAY
+CREATE_OBJECT = Op.CREATE_OBJECT
+CREATE_CLOSURE = Op.CREATE_CLOSURE
+TO_NUMBER = Op.TO_NUMBER
+NOT = Op.NOT
+BIT_NOT = Op.BIT_NOT
+TYPEOF = Op.TYPEOF
 
 
 class Interpreter:
@@ -101,19 +135,27 @@ class Interpreter:
         feedback: FeedbackVector = shared.feedback
         code = info.bytecode
         cycles = 0
-        base_cost = INTERP_BASE_COST
-        extra = _OP_EXTRA_COST
+        cost = _OP_COST
 
+        # Handlers are tested in order of how often they run (the suite's
+        # interpreted mix), so the common bytecodes dispatch after a few
+        # tests.
         while True:
             instr: Instr = code[pc]
             op = instr.op
-            cycles += base_cost + extra.get(op, 0)
+            cycles += cost[op]
 
-            if op == Op.LOAD_CONST:
+            if op == MOVE:
+                regs[instr.dst] = regs[instr.a]
+                pc += 1
+            elif op == LOAD_CONST:
                 regs[instr.dst] = self._constant_word(shared, instr.a)
                 pc += 1
-            elif op == Op.MOVE:
-                regs[instr.dst] = regs[instr.a]
+            elif op == LOAD_GLOBAL:
+                slot = feedback.global_slot(instr.d)
+                if slot.cell_index < 0:
+                    slot.cell_index = engine.global_cell_index(info.names[instr.a])
+                regs[instr.dst] = engine.global_cells[slot.cell_index]
                 pc += 1
             elif op in _BINARY_DISPATCH:
                 result, observed = _BINARY_DISPATCH[op](
@@ -122,13 +164,13 @@ class Interpreter:
                 feedback.binary(instr.d).record(observed)
                 regs[instr.dst] = result
                 pc += 1
-            elif op in _BITWISE_NAMES:
-                result, observed = runtime.js_bitwise(
-                    heap, _BITWISE_NAMES[op], regs[instr.a], regs[instr.b]
-                )
-                feedback.binary(instr.d).record(observed)
-                regs[instr.dst] = result
-                pc += 1
+            elif op == JUMP_IF_FALSE:
+                taken = not runtime.js_truthy(heap, regs[instr.b])
+                if taken and instr.a <= pc:
+                    shared.backedge_count += 1
+                    if shared.backedge_count & 127 == 0:
+                        engine.maybe_tier_up(shared)
+                pc = instr.a if taken else pc + 1
             elif op in _COMPARE_NAMES:
                 outcome, observed = runtime.js_compare(
                     heap, _COMPARE_NAMES[op], regs[instr.a], regs[instr.b]
@@ -136,78 +178,23 @@ class Interpreter:
                 feedback.binary(instr.d).record(observed)
                 regs[instr.dst] = heap.true_value if outcome else heap.false_value
                 pc += 1
-            elif op == Op.TEST_EQ or op == Op.TEST_NE:
-                outcome, observed = runtime.js_loose_equals(
-                    heap, regs[instr.a], regs[instr.b]
+            elif op == GET_ELEMENT:
+                regs[instr.dst] = self.get_element(
+                    regs[instr.a], regs[instr.b], feedback, instr.d
                 )
-                if op == Op.TEST_NE:
-                    outcome = not outcome
-                feedback.binary(instr.d).record(observed)
-                regs[instr.dst] = heap.true_value if outcome else heap.false_value
                 pc += 1
-            elif op == Op.TEST_EQ_STRICT or op == Op.TEST_NE_STRICT:
-                outcome, observed = runtime.js_strict_equals(
-                    heap, regs[instr.a], regs[instr.b]
-                )
-                if instr.d >= 0:
-                    feedback.binary(instr.d).record(observed)
-                if op == Op.TEST_NE_STRICT:
-                    outcome = not outcome
-                regs[instr.dst] = heap.true_value if outcome else heap.false_value
-                pc += 1
-            elif op == Op.JUMP:
+            elif op == JUMP:
                 if instr.a <= pc:  # back edge: tier-up bookkeeping
                     shared.backedge_count += 1
                     if shared.backedge_count & 127 == 0:
                         engine.maybe_tier_up(shared)
                 pc = instr.a
-            elif op == Op.JUMP_IF_FALSE:
-                taken = not runtime.js_truthy(heap, regs[instr.b])
-                if taken and instr.a <= pc:
-                    shared.backedge_count += 1
-                    if shared.backedge_count & 127 == 0:
-                        engine.maybe_tier_up(shared)
-                pc = instr.a if taken else pc + 1
-            elif op == Op.JUMP_IF_TRUE:
-                taken = runtime.js_truthy(heap, regs[instr.b])
-                if taken and instr.a <= pc:
-                    shared.backedge_count += 1
-                    if shared.backedge_count & 127 == 0:
-                        engine.maybe_tier_up(shared)
-                pc = instr.a if taken else pc + 1
-            elif op == Op.LOAD_GLOBAL:
-                slot = feedback.global_slot(instr.d)
-                if slot.cell_index < 0:
-                    slot.cell_index = engine.global_cell_index(info.names[instr.a])
-                regs[instr.dst] = engine.global_cells[slot.cell_index]
-                pc += 1
-            elif op == Op.STORE_GLOBAL:
-                engine.set_global_word(info.names[instr.a], regs[instr.b])
-                pc += 1
-            elif op == Op.LOAD_THIS:
-                regs[instr.dst] = this_word
-                pc += 1
-            elif op == Op.GET_PROPERTY:
-                regs[instr.dst] = self.get_property(
-                    regs[instr.a], info.names[instr.b], feedback, instr.d
-                )
-                pc += 1
-            elif op == Op.SET_PROPERTY:
-                self.set_property(
-                    regs[instr.a], info.names[instr.b], regs[instr.c], feedback, instr.d
-                )
-                pc += 1
-            elif op == Op.GET_ELEMENT:
-                regs[instr.dst] = self.get_element(
-                    regs[instr.a], regs[instr.b], feedback, instr.d
-                )
-                pc += 1
-            elif op == Op.SET_ELEMENT:
+            elif op == SET_ELEMENT:
                 self.set_element(
                     regs[instr.a], regs[instr.b], regs[instr.c], feedback, instr.d
                 )
                 pc += 1
-            elif op == Op.CALL:
+            elif op == CALL:
                 engine.charge(cycles, "interpreter")
                 cycles = 0
                 arg_words = [regs[r] for r in instr.c]
@@ -215,7 +202,23 @@ class Interpreter:
                     regs[instr.b], heap.undefined, arg_words, feedback.call(instr.d)
                 )
                 pc += 1
-            elif op == Op.CALL_METHOD:
+            elif op == TEST_EQ or op == TEST_NE:
+                outcome, observed = runtime.js_loose_equals(
+                    heap, regs[instr.a], regs[instr.b]
+                )
+                if op == TEST_NE:
+                    outcome = not outcome
+                feedback.binary(instr.d).record(observed)
+                regs[instr.dst] = heap.true_value if outcome else heap.false_value
+                pc += 1
+            elif op in _BITWISE_NAMES:
+                result, observed = runtime.js_bitwise(
+                    heap, _BITWISE_NAMES[op], regs[instr.a], regs[instr.b]
+                )
+                feedback.binary(instr.d).record(observed)
+                regs[instr.dst] = result
+                pc += 1
+            elif op == CALL_METHOD:
                 engine.charge(cycles, "interpreter")
                 cycles = 0
                 receiver = regs[instr.b]
@@ -224,7 +227,36 @@ class Interpreter:
                     receiver, info.names[instr.e], arg_words, feedback, instr.d
                 )
                 pc += 1
-            elif op == Op.NEW:
+            elif op == GET_PROPERTY:
+                regs[instr.dst] = self.get_property(
+                    regs[instr.a], info.names[instr.b], feedback, instr.d
+                )
+                pc += 1
+            elif op == JUMP_IF_TRUE:
+                taken = runtime.js_truthy(heap, regs[instr.b])
+                if taken and instr.a <= pc:
+                    shared.backedge_count += 1
+                    if shared.backedge_count & 127 == 0:
+                        engine.maybe_tier_up(shared)
+                pc = instr.a if taken else pc + 1
+            elif op == RETURN:
+                engine.charge(cycles, "interpreter")
+                return regs[instr.a]
+            elif op == NEG:
+                result, observed = runtime.js_negate(heap, regs[instr.a])
+                if instr.d >= 0:
+                    feedback.binary(instr.d).record(observed)
+                regs[instr.dst] = result
+                pc += 1
+            elif op == SET_PROPERTY:
+                self.set_property(
+                    regs[instr.a], info.names[instr.b], regs[instr.c], feedback, instr.d
+                )
+                pc += 1
+            elif op == STORE_GLOBAL:
+                engine.set_global_word(info.names[instr.a], regs[instr.b])
+                pc += 1
+            elif op == NEW:
                 engine.charge(cycles, "interpreter")
                 cycles = 0
                 arg_words = [regs[r] for r in instr.c]
@@ -232,10 +264,23 @@ class Interpreter:
                     regs[instr.b], arg_words, feedback.call(instr.d)
                 )
                 pc += 1
-            elif op == Op.CREATE_ARRAY:
+            elif op == LOAD_THIS:
+                regs[instr.dst] = this_word
+                pc += 1
+            elif op == TEST_EQ_STRICT or op == TEST_NE_STRICT:
+                outcome, observed = runtime.js_strict_equals(
+                    heap, regs[instr.a], regs[instr.b]
+                )
+                if instr.d >= 0:
+                    feedback.binary(instr.d).record(observed)
+                if op == TEST_NE_STRICT:
+                    outcome = not outcome
+                regs[instr.dst] = heap.true_value if outcome else heap.false_value
+                pc += 1
+            elif op == CREATE_ARRAY:
                 regs[instr.dst] = self._create_array([regs[r] for r in instr.c])
                 pc += 1
-            elif op == Op.CREATE_OBJECT:
+            elif op == CREATE_OBJECT:
                 obj = self.heap.alloc_object()
                 for key_index, value_reg in zip(instr.c, instr.e):
                     self.heap.object_set_property(
@@ -243,50 +288,37 @@ class Interpreter:
                     )
                 regs[instr.dst] = obj
                 pc += 1
-            elif op == Op.CREATE_CLOSURE:
+            elif op == CREATE_CLOSURE:
                 regs[instr.dst] = engine.closure_for(instr.a)
                 pc += 1
-            elif op == Op.NEG:
-                result, observed = runtime.js_negate(heap, regs[instr.a])
-                if instr.d >= 0:
-                    feedback.binary(instr.d).record(observed)
-                regs[instr.dst] = result
-                pc += 1
-            elif op == Op.TO_NUMBER:
+            elif op == TO_NUMBER:
                 word = regs[instr.a]
                 if is_smi(word):
-                    observed = OperandFeedback.SIGNED_SMALL
+                    observed = SIGNED_SMALL_FEEDBACK
                     result = word
                 else:
-                    observed = (
-                        OperandFeedback.NUMBER
-                        if runtime.is_number(heap, word)
-                        else OperandFeedback.ANY
-                    )
+                    observed = NUMBER_FEEDBACK if runtime.is_number(heap, word) else ANY_FEEDBACK
                     result = heap.number_from_float(runtime.js_to_number(heap, word))
                 if instr.d >= 0:
                     feedback.binary(instr.d).record(observed)
                 regs[instr.dst] = result
                 pc += 1
-            elif op == Op.NOT:
+            elif op == NOT:
                 regs[instr.dst] = (
                     heap.false_value
                     if runtime.js_truthy(heap, regs[instr.a])
                     else heap.true_value
                 )
                 pc += 1
-            elif op == Op.BIT_NOT:
+            elif op == BIT_NOT:
                 result, _observed = runtime.js_bit_not(heap, regs[instr.a])
                 regs[instr.dst] = result
                 pc += 1
-            elif op == Op.TYPEOF:
+            elif op == TYPEOF:
                 regs[instr.dst] = heap.alloc_string(
                     runtime.js_typeof(heap, regs[instr.a]), intern=True
                 )
                 pc += 1
-            elif op == Op.RETURN:
-                engine.charge(cycles, "interpreter")
-                return regs[instr.a]
             else:  # pragma: no cover - all opcodes handled
                 raise AssertionError(f"unhandled opcode {op.name}")
 
@@ -318,7 +350,7 @@ class Interpreter:
 
     def _create_array(self, element_words: List[int]) -> int:
         heap = self.heap
-        kind = ElementsKind.PACKED_SMI
+        kind = PACKED_SMI_ELEMENTS
         for word in element_words:
             kind = max(kind, heap._kind_of_value(word))
         array = heap.alloc_array(kind, len(element_words))
@@ -336,16 +368,16 @@ class Interpreter:
         heap = self.heap
         if is_smi(receiver):
             raise JSTypeError(f"cannot read property {name!r} of a number")
-        addr = pointer_untag(receiver)
+        addr = receiver >> 1
         receiver_map = heap.map_of(addr)
         itype = receiver_map.instance_type
-        if itype == InstanceType.JS_ARRAY and name == "length":
+        if itype == JS_ARRAY_TYPE and name == "length":
             feedback.property(slot_index).record(receiver_map, -2)
             return heap.to_word(heap.array_length(receiver))
-        if itype == InstanceType.STRING and name == "length":
+        if itype == STRING_TYPE and name == "length":
             feedback.property(slot_index).record(receiver_map, -3)
             return heap.to_word(len(heap.string_value(receiver)))
-        if itype in (InstanceType.JS_OBJECT, InstanceType.JS_ARRAY):
+        if itype == JS_OBJECT_TYPE or itype == JS_ARRAY_TYPE:
             offset = receiver_map.lookup(name)
             if offset is None:
                 feedback.property(slot_index).record(receiver_map, -1)
@@ -364,24 +396,9 @@ class Interpreter:
         feedback: FeedbackVector,
         slot_index: int,
     ) -> None:
-        heap = self.heap
-        if is_smi(receiver):
-            raise JSTypeError(f"cannot set property {name!r} on a number")
-        addr = pointer_untag(receiver)
-        receiver_map = heap.map_of(addr)
-        if receiver_map.instance_type not in (
-            InstanceType.JS_OBJECT,
-            InstanceType.JS_ARRAY,
-        ):
-            raise JSTypeError(
-                f"cannot set property {name!r} on {runtime.js_typeof(heap, receiver)}"
-            )
-        offset = receiver_map.lookup(name)
-        transition = offset is None
-        heap.object_set_property(receiver, name, value)
-        if transition:
-            offset = heap.map_of(addr).lookup(name)
-        assert offset is not None
+        receiver_map, offset, transition = runtime.js_set_property(
+            self.heap, receiver, name, value
+        )
         feedback.property(slot_index).record(receiver_map, offset, transition=transition)
 
     def get_element(
@@ -389,31 +406,27 @@ class Interpreter:
     ) -> int:
         heap = self.heap
         slot = feedback.element(slot_index)
-        if not is_smi(key):
-            if runtime.is_string(heap, key):
-                # obj["name"] degrades to a property access.
-                slot.saw_non_smi_index = True
-                return self.get_property(
-                    receiver, heap.string_value(key), feedback, slot_index
-                )
-            key_num = runtime.js_to_number(heap, key)
-            if key_num == int(key_num):
-                key = heap.to_word(int(key_num))
-                slot.saw_non_smi_index = True
-            else:
-                raise JSTypeError("non-integer element index")
+        if is_smi(key):
+            index = key >> 1
+        elif runtime.is_string(heap, key):
+            # obj["name"] degrades to a property access.
+            slot.saw_non_smi_index = True
+            return self.get_property(
+                receiver, heap.string_value(key), feedback, slot_index
+            )
+        else:
+            index = runtime.element_index(heap, key)
+            slot.saw_non_smi_index = True
         if is_smi(receiver):
             raise JSTypeError("cannot index a number")
-        index = smi_untag(key)
-        addr = pointer_untag(receiver)
-        receiver_map = heap.map_of(addr)
-        if receiver_map.instance_type == InstanceType.JS_ARRAY:
+        receiver_map = heap.map_of(receiver >> 1)
+        if receiver_map.instance_type == JS_ARRAY_TYPE:
             slot.record(receiver_map)
             if index < 0 or index >= heap.array_length(receiver):
                 slot.saw_out_of_bounds = True
                 return heap.undefined
             return heap.array_get(receiver, index)
-        if receiver_map.instance_type == InstanceType.STRING:
+        if receiver_map.instance_type == STRING_TYPE:
             text = heap.string_value(receiver)
             if 0 <= index < len(text):
                 return heap.alloc_string(text[index])
@@ -430,22 +443,21 @@ class Interpreter:
     ) -> None:
         heap = self.heap
         slot = feedback.element(slot_index)
-        if not is_smi(key):
-            if runtime.is_string(heap, key):
-                slot.saw_non_smi_index = True
-                self.set_property(
-                    receiver, heap.string_value(key), value, feedback, slot_index
-                )
-                return
-            key_num = runtime.js_to_number(heap, key)
-            key = heap.to_word(int(key_num))
+        if is_smi(key):
+            index = key >> 1
+        elif runtime.is_string(heap, key):
+            slot.saw_non_smi_index = True
+            self.set_property(
+                receiver, heap.string_value(key), value, feedback, slot_index
+            )
+            return
+        else:
+            index = runtime.element_index(heap, key)
             slot.saw_non_smi_index = True
         if is_smi(receiver):
             raise JSTypeError("cannot index a number")
-        index = smi_untag(key)
-        addr = pointer_untag(receiver)
-        receiver_map = heap.map_of(addr)
-        if receiver_map.instance_type != InstanceType.JS_ARRAY:
+        receiver_map = heap.map_of(receiver >> 1)
+        if receiver_map.instance_type != JS_ARRAY_TYPE:
             raise JSTypeError("value is not indexable")
         slot.record(receiver_map)
         length = heap.array_length(receiver)
@@ -473,20 +485,20 @@ class Interpreter:
         engine = self.engine
         call_slot = feedback.call(slot_index)
         if not is_smi(receiver):
-            receiver_map = heap.map_of(pointer_untag(receiver))
+            receiver_map = heap.map_of(receiver >> 1)
             itype = receiver_map.instance_type
-            if itype == InstanceType.STRING:
+            if itype == STRING_TYPE:
                 call_slot.record_primitive_method("string", name, receiver_map)
                 return engine.call_primitive_method(receiver, name, args, call_slot)
-            if itype == InstanceType.JS_ARRAY:
+            if itype == JS_ARRAY_TYPE:
                 call_slot.record_primitive_method("array", name, receiver_map)
                 return engine.call_primitive_method(receiver, name, args, call_slot)
-            if itype == InstanceType.JS_OBJECT:
+            if itype == JS_OBJECT_TYPE:
                 method_offset = receiver_map.lookup(name)
                 method = (
                     None
                     if method_offset is None
-                    else heap.read(pointer_untag(receiver), method_offset)
+                    else heap.read(receiver >> 1, method_offset)
                 )
                 if method is None or method == heap.undefined:
                     if engine.regex_from_word(receiver) is not None:

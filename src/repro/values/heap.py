@@ -35,7 +35,24 @@ from bisect import bisect_left, insort
 from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .maps import ElementsKind, InstanceType, Map, MapRegistry
+from .maps import (
+    FIXED_ARRAY_TYPE,
+    FIXED_DOUBLE_ARRAY_TYPE,
+    HEAP_NUMBER_TYPE,
+    JS_ARRAY_TYPE,
+    JS_FUNCTION_TYPE,
+    JS_OBJECT_TYPE,
+    MAP_TYPE,
+    ODDBALL_TYPE,
+    PACKED_DOUBLE_ELEMENTS,
+    PACKED_ELEMENTS,
+    PACKED_SMI_ELEMENTS,
+    STRING_TYPE,
+    ElementsKind,
+    InstanceType,
+    Map,
+    MapRegistry,
+)
 from .tagged import (
     DEFAULT_TAG_CONFIG,
     TagConfig,
@@ -121,29 +138,29 @@ class Heap:
         self.allocated_words = 0
         self.gc_stats = GCStats()
 
-        self.map_map = self._bootstrap_map(InstanceType.MAP)
-        self.oddball_map = self._bootstrap_map(InstanceType.ODDBALL)
-        self.number_map = self._bootstrap_map(InstanceType.HEAP_NUMBER)
-        self.string_map = self._bootstrap_map(InstanceType.STRING)
-        self.fixed_array_map = self._bootstrap_map(InstanceType.FIXED_ARRAY)
+        self.map_map = self._bootstrap_map(MAP_TYPE)
+        self.oddball_map = self._bootstrap_map(ODDBALL_TYPE)
+        self.number_map = self._bootstrap_map(HEAP_NUMBER_TYPE)
+        self.string_map = self._bootstrap_map(STRING_TYPE)
+        self.fixed_array_map = self._bootstrap_map(FIXED_ARRAY_TYPE)
         self.fixed_double_array_map = self._bootstrap_map(
-            InstanceType.FIXED_DOUBLE_ARRAY
+            FIXED_DOUBLE_ARRAY_TYPE
         )
-        self.function_map = self._bootstrap_map(InstanceType.JS_FUNCTION)
+        self.function_map = self._bootstrap_map(JS_FUNCTION_TYPE)
         # Root of the JSObject transition tree: the shape of `{}`.
-        self.empty_object_map = self._bootstrap_map(InstanceType.JS_OBJECT)
+        self.empty_object_map = self._bootstrap_map(JS_OBJECT_TYPE)
         self.array_maps: Dict[ElementsKind, Map] = {
-            kind: self._bootstrap_map(InstanceType.JS_ARRAY, kind)
+            kind: self._bootstrap_map(JS_ARRAY_TYPE, kind)
             for kind in ElementsKind
         }
         # Wire the elements-kind transition chain between the root array maps
         # so arrays built from literals share hidden classes.
-        smi_map = self.array_maps[ElementsKind.PACKED_SMI]
-        dbl_map = self.array_maps[ElementsKind.PACKED_DOUBLE]
-        any_map = self.array_maps[ElementsKind.PACKED]
-        smi_map.elements_transitions[ElementsKind.PACKED_DOUBLE] = dbl_map
-        smi_map.elements_transitions[ElementsKind.PACKED] = any_map
-        dbl_map.elements_transitions[ElementsKind.PACKED] = any_map
+        smi_map = self.array_maps[PACKED_SMI_ELEMENTS]
+        dbl_map = self.array_maps[PACKED_DOUBLE_ELEMENTS]
+        any_map = self.array_maps[PACKED_ELEMENTS]
+        smi_map.elements_transitions[PACKED_DOUBLE_ELEMENTS] = dbl_map
+        smi_map.elements_transitions[PACKED_ELEMENTS] = any_map
+        dbl_map.elements_transitions[PACKED_ELEMENTS] = any_map
 
         self.undefined = self._alloc_oddball(ODDBALL_UNDEFINED)
         self.null = self._alloc_oddball(ODDBALL_NULL)
@@ -225,7 +242,7 @@ class Heap:
     # ------------------------------------------------------------------
 
     def _bootstrap_map(
-        self, instance_type: InstanceType, kind: ElementsKind = ElementsKind.PACKED
+        self, instance_type: InstanceType, kind: ElementsKind = PACKED_ELEMENTS
     ) -> Map:
         new_map = self.maps.create(instance_type, kind)
         self._register_map(new_map)
@@ -245,10 +262,14 @@ class Heap:
         return a_map
 
     def map_of(self, address: int) -> Map:
-        map_word = self.read(address, MAP_OFFSET)
-        if not isinstance(map_word, int) or not is_heap_pointer(map_word):
+        # One frame: the map word is read, tested and untagged inline.
+        try:
+            map_word = self.words[address + MAP_OFFSET]
+        except IndexError as exc:  # pragma: no cover - simulator bug guard
+            raise HeapError(f"read out of heap at {address}+{MAP_OFFSET}") from exc
+        if not isinstance(map_word, int) or not map_word & 1:
             raise HeapError(f"object at {address} has corrupt map word {map_word!r}")
-        return self.maps.by_address(pointer_untag(map_word))
+        return self.maps.by_address_table[map_word >> 1]
 
     def set_map(self, address: int, a_map: Map) -> None:
         self.ensure_map_registered(a_map)
@@ -304,10 +325,10 @@ class Heap:
 
     def alloc_array(self, kind: ElementsKind, length: int) -> int:
         """Allocate a JSArray with a packed backing store of ``kind``."""
-        if kind == ElementsKind.PACKED_DOUBLE:
+        if kind == PACKED_DOUBLE_ELEMENTS:
             elements = self.alloc_fixed_double_array(length)
         else:
-            fill = smi_tag(0, self.config) if kind == ElementsKind.PACKED_SMI else None
+            fill = smi_tag(0, self.config) if kind == PACKED_SMI_ELEMENTS else None
             elements = self.alloc_fixed_array(length, fill)
         addr = self._allocate(JS_ARRAY_SIZE)
         self.set_map(addr, self.array_maps[kind])
@@ -387,7 +408,7 @@ class Heap:
         if index < 0 or index >= length:
             return self.undefined
         value = self.read(elements, FIXED_ARRAY_ELEMENTS_OFFSET + index)
-        if kind == ElementsKind.PACKED_DOUBLE:
+        if kind == PACKED_DOUBLE_ELEMENTS:
             assert isinstance(value, float)
             return self.number_from_float(value)
         assert isinstance(value, int)
@@ -410,7 +431,7 @@ class Heap:
             self._transition_array_kind(addr, arr_map, new_kind)
             kind = new_kind
         elements = self.array_elements(word)
-        if kind == ElementsKind.PACKED_DOUBLE:
+        if kind == PACKED_DOUBLE_ELEMENTS:
             self.write(
                 elements,
                 FIXED_ARRAY_ELEMENTS_OFFSET + index,
@@ -441,7 +462,7 @@ class Heap:
             elements = self.array_elements(word)
         if length >= capacity:
             new_capacity = max(4, capacity * 2)
-            if kind == ElementsKind.PACKED_DOUBLE:
+            if kind == PACKED_DOUBLE_ELEMENTS:
                 new_elements = self.alloc_fixed_double_array(new_capacity)
             else:
                 new_elements = self.alloc_fixed_array(new_capacity)
@@ -454,7 +475,7 @@ class Heap:
                 )
             self.write(addr, JS_ARRAY_ELEMENTS_OFFSET, new_elements)
             elements = dst
-        if kind == ElementsKind.PACKED_DOUBLE:
+        if kind == PACKED_DOUBLE_ELEMENTS:
             self.write(
                 elements,
                 FIXED_ARRAY_ELEMENTS_OFFSET + length,
@@ -467,11 +488,10 @@ class Heap:
 
     def _kind_of_value(self, word: int) -> ElementsKind:
         if is_smi(word):
-            return ElementsKind.PACKED_SMI
-        addr = pointer_untag(word)
-        if self.map_of(addr).instance_type == InstanceType.HEAP_NUMBER:
-            return ElementsKind.PACKED_DOUBLE
-        return ElementsKind.PACKED
+            return PACKED_SMI_ELEMENTS
+        if self.map_of(word >> 1).instance_type == HEAP_NUMBER_TYPE:
+            return PACKED_DOUBLE_ELEMENTS
+        return PACKED_ELEMENTS
 
     def _transition_array_kind(
         self, addr: int, arr_map: Map, new_kind: ElementsKind
@@ -491,7 +511,7 @@ class Heap:
         length_word = self.read(addr, JS_ARRAY_LENGTH_OFFSET)
         assert isinstance(length_word, int)
         length = min(smi_untag(length_word), capacity)
-        if old_kind == ElementsKind.PACKED_SMI and new_kind == ElementsKind.PACKED_DOUBLE:
+        if old_kind == PACKED_SMI_ELEMENTS and new_kind == PACKED_DOUBLE_ELEMENTS:
             new_elements = self.alloc_fixed_double_array(capacity)
             dst = pointer_untag(new_elements)
             for i in range(length):
@@ -499,7 +519,7 @@ class Heap:
                 assert isinstance(value, int)
                 self.write(dst, FIXED_ARRAY_ELEMENTS_OFFSET + i, float(smi_untag(value)))
             self.write(addr, JS_ARRAY_ELEMENTS_OFFSET, new_elements)
-        elif old_kind == ElementsKind.PACKED_DOUBLE and new_kind == ElementsKind.PACKED:
+        elif old_kind == PACKED_DOUBLE_ELEMENTS and new_kind == PACKED_ELEMENTS:
             new_elements = self.alloc_fixed_array(capacity)
             dst = pointer_untag(new_elements)
             for i in range(length):
@@ -507,7 +527,7 @@ class Heap:
                 assert isinstance(value, float)
                 self.write(dst, FIXED_ARRAY_ELEMENTS_OFFSET + i, self.number_from_float(value))
             self.write(addr, JS_ARRAY_ELEMENTS_OFFSET, new_elements)
-        elif old_kind == ElementsKind.PACKED_SMI and new_kind == ElementsKind.PACKED:
+        elif old_kind == PACKED_SMI_ELEMENTS and new_kind == PACKED_ELEMENTS:
             pass  # SMI words are valid tagged words already
         self.set_map(addr, new_map)
         arr_map.destabilize()
@@ -531,9 +551,8 @@ class Heap:
 
     def number_to_float(self, word: int) -> float:
         if is_smi(word):
-            return float(smi_untag(word))
-        addr = pointer_untag(word)
-        value = self.read(addr, NUMBER_VALUE_OFFSET)
+            return float(word >> 1)
+        value = self.read(word >> 1, NUMBER_VALUE_OFFSET)
         assert isinstance(value, float)
         return value
 
@@ -573,15 +592,15 @@ class Heap:
     def to_python(self, word: int) -> object:
         """Unbox a tagged word into a Python value (deep for arrays)."""
         if is_smi(word):
-            return smi_untag(word)
-        addr = pointer_untag(word)
+            return word >> 1
+        addr = word >> 1
         obj_map = self.map_of(addr)
         itype = obj_map.instance_type
-        if itype == InstanceType.HEAP_NUMBER:
+        if itype == HEAP_NUMBER_TYPE:
             return self.number_to_float(word)
-        if itype == InstanceType.STRING:
+        if itype == STRING_TYPE:
             return self.string_value(word)
-        if itype == InstanceType.ODDBALL:
+        if itype == ODDBALL_TYPE:
             kind = self.read(addr, ODDBALL_KIND_OFFSET)
             return {
                 ODDBALL_UNDEFINED: None,
@@ -590,12 +609,12 @@ class Heap:
                 ODDBALL_FALSE: False,
                 ODDBALL_HOLE: None,
             }[kind]  # type: ignore[index]
-        if itype == InstanceType.JS_ARRAY:
+        if itype == JS_ARRAY_TYPE:
             return [
                 self.to_python(self.array_get(word, i))
                 for i in range(self.array_length(word))
             ]
-        if itype == InstanceType.JS_OBJECT:
+        if itype == JS_OBJECT_TYPE:
             return {
                 name: self.to_python(self.read(addr, offset))  # type: ignore[arg-type]
                 for name, offset in obj_map.property_offsets.items()
@@ -605,7 +624,7 @@ class Heap:
     def instance_type_of(self, word: int) -> Optional[InstanceType]:
         if is_smi(word):
             return None
-        return self.map_of(pointer_untag(word)).instance_type
+        return self.map_of(word >> 1).instance_type
 
     # ------------------------------------------------------------------
     # Garbage collection (mark-sweep, non-moving)
@@ -629,7 +648,7 @@ class Heap:
         roots = all_roots
         for word in roots:
             if isinstance(word, int) and is_heap_pointer(word):
-                worklist.append(pointer_untag(word))
+                worklist.append(word >> 1)
         while worklist:
             addr = worklist.pop()
             if addr in marked or addr not in self._sizes:
@@ -637,7 +656,7 @@ class Heap:
             marked.add(addr)
             for child in self._tagged_slots(addr):
                 if is_heap_pointer(child):
-                    worklist.append(pointer_untag(child))
+                    worklist.append(child >> 1)
         freed = 0
         free = self._free
         position = self._free_position
@@ -666,21 +685,21 @@ class Heap:
         map_word = self.words[addr]
         if not isinstance(map_word, int) or not is_heap_pointer(map_word):
             return []
-        obj_map = self.maps.by_address(pointer_untag(map_word))
+        obj_map = self.maps.by_address(map_word >> 1)
         slots = [map_word]
         itype = obj_map.instance_type
-        if itype == InstanceType.FIXED_ARRAY:
+        if itype == FIXED_ARRAY_TYPE:
             length = self.words[addr + FIXED_ARRAY_LENGTH_OFFSET]
             assert isinstance(length, int)
             for i in range(length):
                 child = self.words[addr + FIXED_ARRAY_ELEMENTS_OFFSET + i]
                 if isinstance(child, int):
                     slots.append(child)
-        elif itype == InstanceType.JS_ARRAY:
+        elif itype == JS_ARRAY_TYPE:
             child = self.words[addr + JS_ARRAY_ELEMENTS_OFFSET]
             if isinstance(child, int):
                 slots.append(child)
-        elif itype == InstanceType.JS_OBJECT:
+        elif itype == JS_OBJECT_TYPE:
             capacity = self._sizes.get(addr, 1) - 1
             for i in range(capacity):
                 child = self.words[addr + 1 + i]
@@ -698,14 +717,14 @@ def _is_negative_zero(value: float) -> bool:
 
 
 def _list_kind(values: list) -> ElementsKind:
-    kind = ElementsKind.PACKED_SMI
+    kind = PACKED_SMI_ELEMENTS
     for item in values:
         if isinstance(item, bool) or isinstance(item, (str, list, dict)) or item is None:
-            return ElementsKind.PACKED
+            return PACKED_ELEMENTS
         if isinstance(item, float) and item != int(item):
-            kind = max(kind, ElementsKind.PACKED_DOUBLE)
+            kind = max(kind, PACKED_DOUBLE_ELEMENTS)
         elif isinstance(item, float):
-            kind = max(kind, ElementsKind.PACKED_DOUBLE)
+            kind = max(kind, PACKED_DOUBLE_ELEMENTS)
         elif isinstance(item, int) and not DEFAULT_TAG_CONFIG.fits_smi(item):
-            kind = max(kind, ElementsKind.PACKED_DOUBLE)
+            kind = max(kind, PACKED_DOUBLE_ELEMENTS)
     return kind

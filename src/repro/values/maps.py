@@ -48,6 +48,23 @@ class ElementsKind(IntEnum):
         return other >= self
 
 
+# The members again as module-level names, spelled as in V8.  Hot paths
+# compare against these: reading ``InstanceType.JS_ARRAY`` off the enum
+# class costs several times a global lookup, on every test.
+ODDBALL_TYPE = InstanceType.ODDBALL
+HEAP_NUMBER_TYPE = InstanceType.HEAP_NUMBER
+STRING_TYPE = InstanceType.STRING
+FIXED_ARRAY_TYPE = InstanceType.FIXED_ARRAY
+FIXED_DOUBLE_ARRAY_TYPE = InstanceType.FIXED_DOUBLE_ARRAY
+JS_OBJECT_TYPE = InstanceType.JS_OBJECT
+JS_ARRAY_TYPE = InstanceType.JS_ARRAY
+JS_FUNCTION_TYPE = InstanceType.JS_FUNCTION
+MAP_TYPE = InstanceType.MAP
+PACKED_SMI_ELEMENTS = ElementsKind.PACKED_SMI
+PACKED_DOUBLE_ELEMENTS = ElementsKind.PACKED_DOUBLE
+PACKED_ELEMENTS = ElementsKind.PACKED
+
+
 def generalized_kind(kind: ElementsKind, value_kind: ElementsKind) -> ElementsKind:
     """Kind required to store a value of ``value_kind`` into a ``kind`` array."""
     return max(kind, value_kind)
@@ -146,7 +163,8 @@ class MapRegistry:
 
     def __init__(self) -> None:
         self._maps: List[Map] = []
-        self._by_address: Dict[int, Map] = {}
+        #: map address -> Map (``Heap.map_of`` indexes it directly)
+        self.by_address_table: Dict[int, Map] = {}
 
     def create(
         self,
@@ -160,10 +178,10 @@ class MapRegistry:
 
     def register_address(self, a_map: Map, address: int) -> None:
         a_map.address = address
-        self._by_address[address] = a_map
+        self.by_address_table[address] = a_map
 
     def by_address(self, address: int) -> Map:
-        return self._by_address[address]
+        return self.by_address_table[address]
 
     def transition_add_property(self, source: Map, name: str) -> Map:
         """Map reached by adding property ``name`` to an object of ``source``.

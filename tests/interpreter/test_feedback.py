@@ -26,6 +26,30 @@ class TestOperandLattice:
     def test_number_and_string_join_to_any(self):
         assert OperandFeedback.NUMBER.union(OperandFeedback.STRING) == OperandFeedback.ANY
 
+    def test_union_matches_the_lattice_table(self):
+        N, S, D, T, A = (
+            OperandFeedback.NONE,
+            OperandFeedback.SIGNED_SMALL,
+            OperandFeedback.NUMBER,
+            OperandFeedback.STRING,
+            OperandFeedback.ANY,
+        )
+        table = {  # row.union(column), columns in the order N, S, D, T, A
+            N: (N, S, D, T, A),
+            S: (S, S, D, A, A),
+            D: (D, D, D, A, A),
+            T: (T, A, A, T, A),
+            A: (A, A, A, A, A),
+        }
+        assert set(table) == set(OperandFeedback)
+        for row, joins in table.items():
+            for column, expected in zip((N, S, D, T, A), joins):
+                assert row.union(column) is expected
+                slot = BinaryOpSlot()
+                slot.state = row
+                slot.record(column)
+                assert slot.state is expected
+
     def test_join_is_monotone(self):
         slot = BinaryOpSlot()
         slot.record(OperandFeedback.SIGNED_SMALL)

@@ -204,6 +204,82 @@ class TestStringsAndBuiltins:
         assert run(src, "f") == "123@1"
 
 
+#: Helpers warmed until the default tier optimizes them.  setx's store
+#: transitions each fresh object and get/put see a -0 key (a HeapNumber),
+#: so their compiled code calls the generic runtime stubs.
+STORE_HELPERS = """
+function setx(o, v) { o.x = v; return 0; }
+function get(a, k) { return a[k]; }
+function put(a, k, v) { a[k] = v; return 0; }
+function warm() {
+  for (var i = 0; i < 40; i++) {
+    var a = [1, 2, 3];
+    setx({}, i); get(a, 1); get(a, -0); put(a, 0, 5); put(a, -0, 5);
+  }
+  return 0;
+}
+"""
+
+TIERS = [pytest.param(Tier.INTERP, id="interp"), pytest.param(None, id="default")]
+
+
+def run_warmed(tier, body):
+    """Call ``f`` of ``body`` after warming the helpers at ``tier``."""
+    engine = Engine(EngineConfig(tier=tier))
+    engine.load(STORE_HELPERS + body)
+    engine.call_global("warm")
+    engine.call_global("warm")
+    compiled = {fn.name for fn in engine.functions if fn.code is not None}
+    assert {"setx", "get", "put"} <= compiled if tier is None else not compiled
+    return engine.call_global("f")
+
+
+class TestStoreAndKeyRules:
+    """Only JS objects take named stores; element keys must be integral."""
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize(
+        "store", ["a.x = 4;", "a.length = 4;", "setx(a, 4);", 'a["x"] = 4;']
+    )
+    def test_named_store_on_array_raises(self, tier, store):
+        body = "function f() { var a = [1, 2, 3]; %s return a[0]; }" % store
+        with pytest.raises(JSTypeError, match="on an array"):
+            run_warmed(tier, body)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_named_store_on_object_still_works(self, tier):
+        body = "function f() { var o = {}; setx(o, 4); return o.x; }"
+        assert run_warmed(tier, body) == 4
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_element_store_on_object_raises(self, tier):
+        body = "function f() { var o = {}; put(o, 0, 9); return 0; }"
+        with pytest.raises(JSTypeError, match="not indexable"):
+            run_warmed(tier, body)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize(
+        "access", ["get(a, {key})", "put(a, {key}, 9)"], ids=["load", "store"]
+    )
+    @pytest.mark.parametrize(
+        "key", ["1.5", "u", "1 / 0", "-1 / 0"],
+        ids=["fractional", "nan", "infinite", "neg-infinite"],
+    )
+    def test_non_integral_element_key_raises(self, tier, access, key):
+        call = access.format(key=key)
+        body = "function f() { var u; var a = [1, 2, 3]; %s; return a[1]; }" % call
+        with pytest.raises(JSTypeError, match="non-integer element index"):
+            run_warmed(tier, body)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_integral_non_smi_keys_still_index(self, tier):
+        body = (
+            "function f() { var a = [1, 2, 3]; put(a, -0, 7); put(a, true, 8);"
+            " return get(a, -0) * 10 + get(a, true); }"
+        )
+        assert run_warmed(tier, body) == 78
+
+
 class TestFeedbackCollection:
     def test_binary_feedback_recorded(self):
         from repro.interpreter.feedback import BinaryOpSlot, OperandFeedback

@@ -109,6 +109,22 @@ class TestObjects:
         with pytest.raises(HeapError):
             heap.object_set_property(obj, "c", heap.to_word(3))
 
+    def test_map_of_rejects_an_smi_map_word(self, heap):
+        addr = pointer_untag(heap.alloc_object())
+        heap.words[addr + MAP_OFFSET] = 8  # SMI 4: no tag bit
+        with pytest.raises(HeapError, match="corrupt map word"):
+            heap.map_of(addr)
+
+    def test_map_of_rejects_a_non_int_map_word(self, heap):
+        addr = pointer_untag(heap.alloc_number(1.5))
+        heap.words[addr + MAP_OFFSET] = 1.5
+        with pytest.raises(HeapError, match="corrupt map word"):
+            heap.map_of(addr)
+
+    def test_map_of_rejects_an_address_past_the_heap(self, heap):
+        with pytest.raises(HeapError, match="read out of heap"):
+            heap.map_of(len(heap.words))
+
     def test_transition_destabilizes_source_map(self, heap):
         obj = heap.alloc_object()
         heap.object_set_property(obj, "x", heap.to_word(1))
