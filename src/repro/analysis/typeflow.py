@@ -78,7 +78,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..isa.base import CC, FRAME_BASE, MachineInstr, MOp
-from ..isa.semantics import abstract_transfer_of, effect_of, successors_of
+from ..isa.semantics import abstract_transfer_of, effect_of
 from ..jit.codegen import CodeObject
 from ..machine.blockjit import block_spans
 from ..values.maps import ElementsKind
@@ -265,7 +265,6 @@ class TypeflowResult:
     summaries: List[BlockTypeSummary] = field(default_factory=list)
     classifications: Dict[int, CheckClassification] = field(default_factory=dict)
     plans: Dict[int, TypedBlockPlan] = field(default_factory=dict)
-    flags_live: bool = False
     body_instructions: int = 0
 
     @property
@@ -292,7 +291,6 @@ class TypeflowResult:
         return {
             "function": self.function,
             "target": self.target,
-            "flags_live": self.flags_live,
             "body_instructions": self.body_instructions,
             "counts": self.counts,
             "residual_density": self.residual_density(),
@@ -903,16 +901,6 @@ class _Typeflow:
             )
         return plans
 
-    def _compute_flags_live(self) -> bool:
-        for start, end in self.spans:
-            for pc in range(start, end):
-                effect = effect_of(self.instrs[pc])
-                if effect.reads_flags:
-                    return True
-                if effect.sets_flags:
-                    break
-        return False
-
     # -- entry point ------------------------------------------------------
 
     def run(self) -> TypeflowResult:
@@ -928,10 +916,8 @@ class _Typeflow:
         if not self.instrs:
             return result
         self._run_may()
-        result.flags_live = self._compute_flags_live()
         result.classifications = self._classify()
-        if not result.flags_live:
-            result.plans = self._build_plans(result.classifications)
+        result.plans = self._build_plans(result.classifications)
         by_block = {c.block: c for c in result.classifications.values()}
         for bid, (start, end) in enumerate(self.spans):
             if bid not in self.entry_facts:
@@ -1010,7 +996,6 @@ class VersionAnalysis:
             tf._find_sites()
             tf._run_must()
         self._tf = tf
-        self.flags_live = tf._compute_flags_live() if tf.instrs else False
         self.spans = tf.spans
         self.sites = tf.sites
         #: converged must-state at each reachable block's entry
@@ -1055,8 +1040,6 @@ class VersionAnalysis:
         at block entry; None when the site is not provably redundant
         under that state (versions never carry hoisted guards — a state
         that does not imply the fact simply gets no specialized body)."""
-        if self.flags_live:
-            return None
         site = self.sites.get(bid)
         if site is None or site.fact is None:
             return None
@@ -1103,22 +1086,6 @@ def version_analysis(code: CodeObject) -> VersionAnalysis:
     return ctx
 
 
-def edge_type_states(
-    code: CodeObject,
-) -> Dict[int, List[Tuple[int, FrozenSet[Fact]]]]:
-    """Per-edge *outgoing* type-states of the converged must-analysis:
-    ``{bid: [(succ, facts-on-that-edge), ...]}`` for every reachable
-    block.  This is strictly finer than per-block entry facts — a merge
-    point's entry state is the meet over these edges, and the
-    difference between an individual edge state and the meet is exactly
-    the precision the LBBV tier recovers by versioning."""
-    ctx = version_analysis(code)
-    edges: Dict[int, List[Tuple[int, FrozenSet[Fact]]]] = {}
-    for bid, entry in ctx.static_entry.items():
-        edges[bid] = ctx.out_states(bid, entry)
-    return edges
-
-
 def analyze_typeflow(code: CodeObject) -> TypeflowResult:
     """Run (or fetch the cached) typeflow analysis for one code object.
 
@@ -1136,16 +1103,9 @@ def analyze_typeflow(code: CodeObject) -> TypeflowResult:
 
 
 def typed_plans(code: CodeObject) -> Dict[int, TypedBlockPlan]:
-    """Elision plans per fused-block id, for the blockjit typed tier.
-
-    Empty when the code object uses the flag-threading ABI (flags cross
-    block boundaries; the typed variants do not thread elided flag
-    state) or when nothing is provably elidable.
-    """
-    result = analyze_typeflow(code)
-    if result.flags_live:
-        return {}
-    return result.plans
+    """Elision plans per fused-block id, for the blockjit typed tier
+    (empty when nothing is provably elidable)."""
+    return analyze_typeflow(code).plans
 
 
 def cross_validate(

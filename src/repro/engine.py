@@ -111,7 +111,7 @@ class EngineConfig:
     continuations: Optional[bool] = None
     #: cycle budget of the re-dispatch breaker: a consecutive-dispatch
     #: streak exceeding this falls back to the classic bailout path
-    #: (livelock-freedom).  None defers to REPRO_CONT_BUDGET (2000).
+    #: (livelock-freedom).  None means the default of 2000 cycles.
     redispatch_budget: Optional[float] = None
     #: Online divergence sentinel (repro.supervise.sentinel): on a
     #: deterministic schedule, shadow-execute fused blocks against their
@@ -191,10 +191,6 @@ class SharedFunction:
         self.name = name or (info.name if info is not None else "<native>")
         self.closure_word: Optional[int] = None
         self.is_constructor_native = False
-
-    @property
-    def is_native(self) -> bool:
-        return self.native_impl is not None
 
 
 class _GlobalCells:
@@ -1174,7 +1170,7 @@ def _build_runtime_table() -> Dict[str, Callable]:
 
     def rt_get_property_generic(engine: Engine, extra, args, _fregs):
         engine.charge(30, "builtin")
-        return _generic_get_property(engine, args[0], str(extra))
+        return runtime.js_get_property(engine.heap, args[0], str(extra))
 
     table["get_property_generic"] = rt_get_property_generic
 
@@ -1258,27 +1254,12 @@ def _build_runtime_table() -> Dict[str, Callable]:
     return table
 
 
-def _generic_get_property(engine: Engine, receiver: int, name: str) -> int:
-    heap = engine.heap
-    if is_smi(receiver):
-        raise JSTypeError(f"cannot read {name!r} of a number")
-    itype = heap.map_of(receiver >> 1).instance_type
-    if itype == JS_ARRAY_TYPE and name == "length":
-        return heap.to_word(heap.array_length(receiver))
-    if itype == STRING_TYPE and name == "length":
-        return heap.to_word(len(heap.string_value(receiver)))
-    if itype == JS_OBJECT_TYPE or itype == JS_ARRAY_TYPE:
-        value = heap.object_get_property(receiver, name)
-        return value if value is not None else heap.undefined
-    raise JSTypeError(f"cannot read {name!r}")
-
-
 def _generic_get_element(engine: Engine, receiver: int, key: int) -> int:
     heap = engine.heap
     if is_smi(key):
         index = key >> 1
     elif runtime.is_string(heap, key):
-        return _generic_get_property(engine, receiver, heap.string_value(key))
+        return runtime.js_get_property(heap, receiver, heap.string_value(key))
     else:
         index = runtime.element_index(heap, key)
     if is_smi(receiver):

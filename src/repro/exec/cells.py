@@ -21,7 +21,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from ..engine import Engine, EngineConfig
 from ..jit.checks import CheckKind
@@ -187,6 +187,18 @@ class ProfiledRun:
         return 100.0 * self.static_checks / self.static_body
 
 
+#: pid of the process running the scheduler, whose cells the chaos hook
+#: never crashes or hangs.  A fork child inherits a pid that is not its
+#: own; a spawn child starts with None.
+_scheduler_pid: Optional[int] = None
+
+
+def mark_scheduler_process() -> None:
+    """Record this process as the scheduler's (see :func:`_chaos_hook`)."""
+    global _scheduler_pid
+    _scheduler_pid = os.getpid()
+
+
 def _chaos_hook(cell: RunCell) -> None:
     """Test-only failure injection, driven by ``REPRO_CHAOS_EXEC``.
 
@@ -194,8 +206,8 @@ def _chaos_hook(cell: RunCell) -> None:
     matching cell is computed the worker crashes (``os._exit``), hangs, or
     raises — exercising the scheduler's retry/timeout/quarantine paths with
     real process death rather than mocks.  ``crash`` and ``hang`` are
-    suppressed in the scheduler's own process (``REPRO_CHAOS_MAIN_PID``) so
-    serial fallback passes survive to report the failure.
+    suppressed in the scheduler's own process (:func:`mark_scheduler_process`)
+    so serial fallback passes survive to report the failure.
     """
     spec_var = os.environ.get("REPRO_CHAOS_EXEC")
     if not spec_var:
@@ -206,7 +218,7 @@ def _chaos_hook(cell: RunCell) -> None:
         return
     if benchmark != cell.benchmark:
         return
-    in_main = os.environ.get("REPRO_CHAOS_MAIN_PID") == str(os.getpid())
+    in_main = _scheduler_pid == os.getpid()
     if action == "crash" and not in_main:
         os._exit(17)
     elif action == "hang" and not in_main:

@@ -48,9 +48,3 @@ def engine_fingerprint() -> str:
             digest.update(b"\0")
         _cached = digest.hexdigest()
     return _cached
-
-
-def reset_fingerprint_cache() -> None:
-    """Drop the memoized digest (tests that fake engine versions)."""
-    global _cached
-    _cached = None

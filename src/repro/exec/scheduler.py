@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .cache import MISS, DiskCache
-from .cells import RunCell, compute_cell
+from .cells import RunCell, compute_cell, mark_scheduler_process
 from .wal import SweepWAL
 
 
@@ -234,7 +234,7 @@ def execute_cells(
 
     # Lets the chaos hook distinguish the scheduler's own process (where a
     # crash/hang injection must not fire) from pool workers.
-    os.environ["REPRO_CHAOS_MAIN_PID"] = str(os.getpid())
+    mark_scheduler_process()
 
     missing = [cell for cell in unique if cell not in store]
     to_compute: List[RunCell] = []

@@ -409,11 +409,13 @@ class Interpreter:
         if is_smi(key):
             index = key >> 1
         elif runtime.is_string(heap, key):
-            # obj["name"] degrades to a property access.
+            # obj["name"] is a plain property read.  The element slot
+            # keeps the receiver map, so compiled code calls the generic
+            # stub instead of deopting on an uninitialized site.
             slot.saw_non_smi_index = True
-            return self.get_property(
-                receiver, heap.string_value(key), feedback, slot_index
-            )
+            value = runtime.js_get_property(heap, receiver, heap.string_value(key))
+            slot.record(heap.map_of(receiver >> 1))
+            return value
         else:
             index = runtime.element_index(heap, key)
             slot.saw_non_smi_index = True
@@ -447,9 +449,10 @@ class Interpreter:
             index = key >> 1
         elif runtime.is_string(heap, key):
             slot.saw_non_smi_index = True
-            self.set_property(
-                receiver, heap.string_value(key), value, feedback, slot_index
+            receiver_map, _offset, _transition = runtime.js_set_property(
+                heap, receiver, heap.string_value(key), value
             )
+            slot.record(receiver_map)
             return
         else:
             index = runtime.element_index(heap, key)

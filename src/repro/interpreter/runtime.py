@@ -416,6 +416,22 @@ def js_typeof(heap: Heap, word: int) -> str:
 # ---------------------------------------------------------------------------
 
 
+def js_get_property(heap: Heap, receiver: int, name: str) -> int:
+    """``receiver.name`` without inline-cache feedback: the read rule of
+    string-keyed element loads and of compiled code's generic stub."""
+    if is_smi(receiver):
+        raise JSTypeError(f"cannot read {name!r} of a number")
+    itype = heap.map_of(receiver >> 1).instance_type
+    if itype == JS_ARRAY_TYPE and name == "length":
+        return heap.to_word(heap.array_length(receiver))
+    if itype == STRING_TYPE and name == "length":
+        return heap.to_word(len(heap.string_value(receiver)))
+    if itype == JS_OBJECT_TYPE or itype == JS_ARRAY_TYPE:
+        value = heap.object_get_property(receiver, name)
+        return value if value is not None else heap.undefined
+    raise JSTypeError(f"cannot read {name!r}")
+
+
 def js_set_property(heap: Heap, receiver: int, name: str, value: int) -> Tuple[Map, int, bool]:
     """``receiver.name = value``; returns the map before the store, the
     property's offset, and whether the store added the property.
@@ -451,8 +467,3 @@ def element_index(heap: Heap, key: int) -> int:
     if not value.is_integer():
         raise JSTypeError("non-integer element index")
     return int(value)
-
-
-def require_callable(heap: Heap, word: int) -> None:
-    if is_smi(word) or heap.map_of(word >> 1).instance_type != JS_FUNCTION_TYPE:
-        raise JSTypeError(f"value is not callable: {heap.to_python(word)!r}")

@@ -42,10 +42,6 @@ class CheckSummary:
     def final_checks(self) -> int:
         return self.stages[-1][1] if self.stages else 0
 
-    @property
-    def eliminated_by_ir(self) -> int:
-        return self.initial_checks - self.final_checks
-
     def to_json(self) -> List[Dict[str, object]]:
         return [
             {"pass": phase, "checks": total, "by_kind": dict(sorted(by_kind.items()))}

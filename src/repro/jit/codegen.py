@@ -109,7 +109,7 @@ class CodeObject:
         self._blocks: Optional[object] = None
         #: trace table (repro.machine.tracejit.TraceTable): hot-chain
         #: edge counters and compiled trace closures, attached lazily by
-        #: the trace-aware driver next to ``_blocks``.  Dropped (set back
+        #: the block driver at tier ``trace``.  Dropped (set back
         #: to None) together with ``_blocks`` on a deopt storm, since its
         #: traces are built over those very blocks.
         self._traces: Optional[object] = None
@@ -138,10 +138,6 @@ class CodeObject:
         self.allocatable_float_regs: Tuple[int, int] = (2, target.fpr_count - 2)
         #: Frame slots available to the allocator (excludes the fp/lr pair).
         self.allocatable_slots = 0
-
-    @property
-    def instruction_count(self) -> int:
-        return len(self.instrs)
 
     def body_instruction_count(self) -> int:
         """Instructions excluding deopt stubs (what 'checks per 100
@@ -264,9 +260,6 @@ class CodeGenerator:
     # ------------------------------------------------------------------
     # Pre-passes
     # ------------------------------------------------------------------
-
-    def _uses_excluding_checkpoints(self) -> Dict[int, int]:
-        return self._uses
 
     def _find_smi_fusions(self, blocks: List[Block]) -> None:
         """Find load -> untag pairs to fuse into jsldrsmi (Section V)."""

@@ -22,9 +22,9 @@ basic blocks and translates every block into one fused Python closure (a
 Fidelity discipline follows Deoptless (Flückiger et al., 2022): the fast
 path may *bail out*, never diverge.  Each block therefore also has a
 **stepped twin** — same generated statements, plus the step loop's per-pc
-cycle/sampler prologue — and the driver in
-:meth:`repro.machine.executor.Executor._run_blocks` routes a block
-through its twin whenever per-instruction fidelity is required:
+cycle/sampler prologue — and the block driver
+(:func:`repro.machine.tracejit.run_blocks`) routes a block through its
+twin whenever per-instruction fidelity is required:
 
 * a PC-sampling tick lands inside the block's cycle window (proved via
   the window API in :mod:`repro.profiling.sampler`), or
@@ -50,6 +50,14 @@ instruction, which is what makes block-batched statistics exact.  The
 machine-code linter (:mod:`repro.analysis.mclint`) independently verifies
 this partition against the label/branch structure of the code.
 
+Every closure has one signature, ``(regs, fregs, frame, special, heap,
+cycles) -> (next_bid, cycles)``: the condition flags are closure
+locals, so they never cross a block boundary.  Code whose flags do (a
+``BCC``/``CSET`` reading flags an earlier block set — no compiler-
+generated code does) is rejected on the compiler's first look
+(:func:`compile_blocks` returns None) and lowered to the ``opt`` stamp,
+so the step loop runs it at every tier.
+
 Tables are cached on ``CodeObject._blocks`` next to ``_decoded``; code
 objects are immutable so the cache is never invalidated, but it is
 rebuilt if a different executor runs the code (closures bind executor
@@ -62,7 +70,7 @@ from __future__ import annotations
 
 import operator
 from math import copysign, inf, isinf, isnan
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..isa.base import CC, REG_PC, REG_RE
 from ..isa.semantics import fused_block_leaders
@@ -130,6 +138,10 @@ if TYPE_CHECKING:
     from .executor import Executor
 
 _UINT32 = 4294967295
+
+#: the stamp of code the block compiler rejects (``CodeObject._tier`` is
+#: a plain int)
+_OPT = int(Tier.OPT)
 
 #: process-wide source -> compiled module cache.  The generated source
 #: embeds every literal (operands, costs, smi bounds, predictor mask), so
@@ -200,8 +212,7 @@ class BlockTable:
     """
 
     __slots__ = ("executor", "blocks", "block_of", "spans", "driver",
-                 "flags_live", "auditable", "demoted", "typed_plans",
-                 "traces")
+                 "auditable", "demoted", "typed_plans", "traces")
 
     def __init__(self, executor: "Executor") -> None:
         self.executor = executor
@@ -217,12 +228,6 @@ class BlockTable:
         #: whose fused closure is a typed variant (empty when typed
         #: blocks are disabled or nothing was provably elidable).
         self.typed_plans: Dict[int, object] = {}
-        #: True when any block reads flags it did not set, i.e. flags
-        #: flow across block boundaries and the closures must thread
-        #: (n, z, c, v) through their signature.  Compiler-generated code
-        #: keeps compare and branch in the same block, so this is the
-        #: exception, not the rule.
-        self.flags_live = False
         #: per-block: True when the divergence sentinel may shadow-execute
         #: the block side-effect-free (its last instruction is not a call,
         #: RET, DEOPT or JSLDRSMI — see repro.supervise.sentinel).
@@ -266,7 +271,7 @@ _STORE_KINDS = frozenset({K_STR, K_STR_FRAME, K_STRF, K_STRF_FRAME})
 #: kinds that read the condition flags / kinds that define all four of
 #: them.  Every flag-writing kind sets n, z, c and v, so a block whose
 #: first flag access is a write has no flag live-in: flags then never
-#: cross its entry and the closures can use the slim no-flags ABI.
+#: cross its entry (see :meth:`_BlockCompiler.compile`).
 _FLAG_READ_KINDS = frozenset({K_BCC, K_CSET})
 
 #: last-instruction kinds whose closures touch executor/engine state
@@ -315,9 +320,12 @@ _RR_INFIX = {
 _FRR_INFIX = {operator.add: "+", operator.sub: "-", operator.mul: "*"}
 
 
-def compile_blocks(code: "CodeObject", executor: "Executor") -> BlockTable:
+def compile_blocks(
+    code: "CodeObject", executor: "Executor"
+) -> Optional[BlockTable]:
     """Partition ``code`` and compile every block's fused closure (stepped
-    twins compile on first use)."""
+    twins compile on first use); None when flags cross a block boundary
+    (the code is then stamped ``opt`` and runs on the step loop)."""
     return _BlockCompiler(code, executor).compile()
 
 
@@ -387,11 +395,9 @@ class _BlockCompiler:
         return self._const(value)
 
     def _ret(self, bid: object) -> str:
-        if self.flags_live:
-            return f"return ({bid}, cycles, n, z, c, v)"
         return f"return ({bid}, cycles)"
 
-    def _flags_live_in(self, start: int, end: int) -> bool:
+    def _reads_entry_flags(self, start: int, end: int) -> bool:
         """True when the block reads n/z/c/v before defining them."""
         for pc in range(start, end):
             kind = self.decoded[pc][0]
@@ -403,23 +409,25 @@ class _BlockCompiler:
 
     # -- compilation -----------------------------------------------------
 
-    def compile(self) -> BlockTable:
+    def compile(self) -> Optional[BlockTable]:
+        spans = block_spans(self.code.instrs)
+        if any(self._reads_entry_flags(start, end) for start, end in spans):
+            # Flags cross a block boundary, which the closures' ABI
+            # cannot carry.  Lowering the stamp sends this and every
+            # later activation to the step loop, the semantic reference.
+            self.code._tier = _OPT
+            return None
         table = BlockTable(self.executor)
-        table.spans = block_spans(self.code.instrs)
-        table.block_of = {start: i for i, (start, _end) in enumerate(table.spans)}
+        table.spans = spans
+        table.block_of = {start: i for i, (start, _end) in enumerate(spans)}
         self.block_of = table.block_of
-        self.n_blocks = len(table.spans)
-        # ABI selection must precede assembly: one live-in block forces the
-        # flag-threading signature onto every closure of this code object.
-        self.flags_live = table.flags_live = any(
-            self._flags_live_in(start, end) for start, end in table.spans
-        )
+        self.n_blocks = len(spans)
         table.auditable = [
             self.decoded[end - 1][0] not in _UNAUDITABLE_LAST
-            for _start, end in table.spans
+            for _start, end in spans
         ]
         self.plans: Dict[int, object] = {}
-        if self.code._tier >= Tier.TYPED and not self.flags_live:
+        if self.code._tier >= Tier.TYPED:
             # Imported lazily: typeflow itself imports block_spans from
             # this module at load time.
             from ..analysis.typeflow import typed_plans
@@ -427,7 +435,7 @@ class _BlockCompiler:
             self.plans = typed_plans(self.code)
         table.typed_plans = dict(self.plans)
         sources: List[str] = []
-        for bid, (start, end) in enumerate(table.spans):
+        for bid, (start, end) in enumerate(spans):
             table.blocks.append(self._compile_block(bid, start, end, sources))
         # One compile()/exec for the whole code object: with ~3 instructions
         # per block, per-call compile() overhead would otherwise dominate
@@ -573,11 +581,9 @@ class _BlockCompiler:
             # Plain fall-through into the next leader.
             lines.append(self._ret(self._target_bid(end)))
         variant = "g" if generic else ("s" if stepped else "f")
-        name = f"_blk_{variant}{bid}"
-        flags = ", n, z, c, v" if self.flags_live else ""
         return (
-            f"def {name}(regs, fregs, frame, special, heap, "
-            f"cycles{flags}):\n"
+            f"def _blk_{variant}{bid}(regs, fregs, frame, special, heap, "
+            "cycles):\n"
             + "".join(f"    {line}\n" for line in lines)
         )
 

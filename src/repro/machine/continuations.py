@@ -70,7 +70,8 @@ def default_continuations() -> bool:
 
 
 def resolve_redispatch_budget() -> float:
-    """Cycle budget of the re-dispatch breaker (REPRO_CONT_BUDGET).
+    """Default cycle budget of the re-dispatch breaker (2000 cycles;
+    ``EngineConfig.redispatch_budget`` overrides it).
 
     A consecutive-dispatch streak (no intervening clean machine exit)
     that accumulates more simulated cycles than this is refused further
@@ -81,12 +82,7 @@ def resolve_redispatch_budget() -> float:
     the streak reaches the budget in at most ``budget / DISPATCH_CYCLES``
     re-entries.
     """
-    raw = os.environ.get("REPRO_CONT_BUDGET", "")
-    try:
-        value = float(raw) if raw else 2000.0
-    except ValueError:
-        value = 2000.0
-    return max(value, float(DISPATCH_CYCLES))
+    return max(2000.0, float(DISPATCH_CYCLES))
 
 
 # ---------------------------------------------------------------------------

@@ -19,19 +19,23 @@ Each activation gets a fresh register file (register-window style), which
 lets the simulator avoid modelling callee-save traffic; call costs are
 charged as a lump sum instead.
 
-Execution is two-tier (see DESIGN.md "Two-tier executor"):
+Execution has two drivers (see DESIGN.md "Two-tier executor"):
 
 * the **step loop** (:meth:`Executor._run_steps`) retires one decoded
   instruction per iteration and *defines* the timing/sampling semantics;
-* the **block executor** (:meth:`Executor._run_blocks`, built by
-  :mod:`repro.machine.blockjit`) retires whole basic blocks through fused
-  closures, charging each block's precomputed cycle total in one add, and
-  bails to a per-block stepped variant whenever per-instruction fidelity
-  is required (a PC sample due inside the block, or a pending injected
-  deopt trip).  Tracing for the pipeline models disables block mode
-  entirely.  Both tiers share the block-relative cycle prefixes computed
-  by :func:`repro.machine.dispatch.decode`, so results, cycle totals,
-  sample attributions and deopt pcs are bit-identical between them.
+* the **block driver** (:func:`repro.machine.tracejit.run_blocks`, over
+  closures built by :mod:`repro.machine.blockjit`) runs every tier from
+  ``block`` up.  It retires whole basic blocks through fused closures
+  (or hot chains of them through traces, at ``trace``), charging each
+  block's precomputed cycle total in one add, and bails to a per-block
+  stepped variant whenever per-instruction fidelity is required (a PC
+  sample due inside the block, or a pending injected deopt trip).
+  Tracing for the pipeline models disables block mode entirely, and
+  code whose condition flags cross a block boundary runs on the step
+  loop at every tier.  Both drivers share the block-relative cycle
+  prefixes computed by :func:`repro.machine.dispatch.decode`, so
+  results, cycle totals, sample attributions and deopt pcs are
+  bit-identical between them.
 """
 
 from __future__ import annotations
@@ -97,10 +101,8 @@ from .ladder import Tier
 
 _UINT32 = 0xFFFFFFFF
 
-#: ladder gates as plain ints, the type of ``CodeObject._tier``
+#: the ladder gate as a plain int, the type of ``CodeObject._tier``
 _BLOCK = int(Tier.BLOCK)
-_LBBV = int(Tier.LBBV)
-_TRACE = int(Tier.TRACE)
 
 
 class CostModel:
@@ -257,10 +259,6 @@ class MachineError(Exception):
     """Simulator-level fault (corrupt code or unchecked speculation)."""
 
 
-def _fits(config, value: int) -> bool:
-    return config.smi_min <= value <= config.smi_max
-
-
 class Executor:
     """Executes compiled code; one instance per engine."""
 
@@ -323,154 +321,20 @@ class Executor:
         Raises :class:`DeoptSignal` when a deoptimization check fires.
 
         The executor is chosen by the tier the engine stamped on the
-        code object (:mod:`repro.machine.ladder`): the trace driver at
-        ``trace``, the block driver from ``block`` up, the step loop
-        below.  The per-instruction step loop remains the semantic
-        reference and the only tier that supports tracing for the
-        pipeline models.  A code object demoted by the divergence
+        code object (:mod:`repro.machine.ladder`): the block driver
+        (:func:`repro.machine.tracejit.run_blocks`) from ``block`` up,
+        the step loop below.  The per-instruction step loop remains the
+        semantic reference and the only tier that supports tracing for
+        the pipeline models.  A code object demoted by the divergence
         sentinel (:mod:`repro.supervise.sentinel`) stays on the step
         tier for the rest of the process.
         """
-        tier = code._tier
-        if tier >= _BLOCK and self.trace is None and not code._supervise_demoted:
-            if tier == _TRACE:
-                from .tracejit import run_traced
+        if (code._tier >= _BLOCK and self.trace is None
+                and not code._supervise_demoted):
+            from .tracejit import run_blocks
 
-                return run_traced(self, code, args, this_word)
-            return self._run_blocks(code, args, this_word)
+            return run_blocks(self, code, args, this_word)
         return self._run_steps(code, args, this_word)
-
-    def _run_blocks(
-        self, code: CodeObject, args: Sequence[int], this_word: int
-    ) -> int:
-        """Block-compiled execution (repro.machine.blockjit).
-
-        Retires one fused basic block per iteration.  Statistics are
-        charged block-at-a-time by a generated prologue inside each
-        closure, from precomputed static counts (exactly what the step
-        loop accumulates one instruction at a time — every raise point is
-        a block's last instruction, so the batched counts never overrun
-        the stepped ones).  A block whose cycle window may contain a
-        sample tick, or any block while an injected deopt trip is
-        pending, runs through its stepped twin instead of its fused
-        closure.
-        """
-        from .blockjit import compile_blocks
-
-        table = code._blocks
-        if table is None or table.executor is not self:
-            table = code._blocks = compile_blocks(code, self)
-        if code._tier >= _LBBV:
-            versions = code._versions
-            if versions is None or versions.table is not table:
-                from .lbbv import attach_versions
-
-                attach_versions(code, table, self)
-        regs: List[int] = [0] * code.target.gpr_count
-        fregs: List[float] = [0.0] * code.target.fpr_count
-        frame: List[object] = [0] * max(1, code.stack_slots)
-        special = [0, 0, 0]
-        for index, arg in enumerate(args):
-            regs[index] = arg
-        regs[THIS_REG] = this_word
-        heap_words = self.heap.words
-        blocks = table.driver
-        local_cycles = self.cycles
-        bid = 0
-        if table.flags_live:
-            # Rare ABI: some block reads flags it did not set, so the
-            # closures thread (n, z, c, v) through their signature.
-            n = z = c = v = False
-            while True:
-                total_cost, fused, stepped = blocks[bid]
-                exit_cycles = local_cycles + total_cost
-                if (exit_cycles >= self._next_sample
-                        or self.forced_deopt_trips > 0):
-                    bid, local_cycles, n, z, c, v = stepped(
-                        regs, fregs, frame, special, heap_words,
-                        local_cycles, n, z, c, v,
-                    )
-                else:
-                    bid, local_cycles, n, z, c, v = fused(
-                        regs, fregs, frame, special, heap_words,
-                        exit_cycles, n, z, c, v,
-                    )
-                if bid < 0:
-                    return self.ret_value
-        audit = self._audit
-        if audit is not None:
-            # Divergence-sentinel variant of the loop below, inline so a
-            # call-heavy workload (thousands of tiny activations) pays no
-            # extra call frame per activation.  The schedule is anchored
-            # to the global ``stats.instructions`` counter (already kept
-            # current by every closure prologue), so progress towards the
-            # next audit spans nested and recursive activations.  Each
-            # activation holds the due threshold in a local and re-reads
-            # ``audit.due`` when its (possibly stale) local fires — if a
-            # descendant activation already audited and advanced the
-            # threshold, this one stands down instead of double-auditing.
-            # A due audit waits for the next *auditable* block.  Demotion
-            # needs no per-block check: BlockTable.demote rewrites the
-            # driver costs to inf, so in-flight loops (this one and
-            # nested activations') fall onto the stepped route via the
-            # sample-window condition.
-            auditable = table.auditable
-            stats = self.stats
-            due = audit.due
-            while True:
-                total_cost, fused, stepped = blocks[bid]
-                exit_cycles = local_cycles + total_cost
-                if exit_cycles >= self._next_sample or self.forced_deopt_trips > 0:
-                    bid, local_cycles = stepped(
-                        regs, fregs, frame, special, heap_words, local_cycles,
-                    )
-                    if bid < 0:
-                        return self.ret_value
-                    continue
-                if stats.instructions >= due and auditable[bid]:
-                    due = audit.due
-                    if stats.instructions >= due:
-                        audit.audit_block(
-                            self, code, table, bid, regs, fregs, frame,
-                            special, local_cycles,
-                        )
-                        due = audit.due = (
-                            stats.instructions + audit.next_interval()
-                        )
-                        if table.demoted:
-                            # The audit just demoted this very code
-                            # object: run the real execution through the
-                            # reference twin so its side effects happen
-                            # exactly once.
-                            bid, local_cycles = stepped(
-                                regs, fregs, frame, special, heap_words,
-                                local_cycles,
-                            )
-                            if bid < 0:
-                                return self.ret_value
-                            continue
-                bid, local_cycles = fused(
-                    regs, fregs, frame, special, heap_words, exit_cycles,
-                )
-                if bid < 0:
-                    return self.ret_value
-        while True:
-            total_cost, fused, stepped = blocks[bid]
-            exit_cycles = local_cycles + total_cost
-            # Inline window_straddles_tick(self._next_sample, exit_cycles):
-            # a sample tick inside the block forces per-pc attribution.
-            # Both attributes must be re-read per block — nested calls
-            # inside a block move the sample clock and consume trips.
-            if exit_cycles >= self._next_sample or self.forced_deopt_trips > 0:
-                bid, local_cycles = stepped(
-                    regs, fregs, frame, special, heap_words, local_cycles,
-                )
-            else:
-                bid, local_cycles = fused(
-                    regs, fregs, frame, special, heap_words, exit_cycles,
-                )
-            if bid < 0:
-                return self.ret_value
 
     def _run_steps(
         self, code: CodeObject, args: Sequence[int], this_word: int

@@ -129,7 +129,6 @@ class _VersionCompiler(_BlockCompiler):
         super().__init__(code, executor)
         self.block_of = table.block_of
         self.n_blocks = len(table.spans)
-        self.flags_live = False  # versions are never built under flags ABI
         #: base bid -> driver index, installed per compiled version
         self.redirect: Dict[int, int] = {}
 
@@ -177,7 +176,6 @@ class VersionTable:
         self._ctx = None
         self.active = (
             code._tier >= Tier.LBBV
-            and not table.flags_live
             and not table.demoted
             and not code._supervise_demoted
         )
@@ -185,7 +183,7 @@ class VersionTable:
             from ..analysis.typeflow import version_analysis
 
             self.ctx = version_analysis(code)
-            if self.ctx.flags_live or not self.ctx.static_entry:
+            if not self.ctx.static_entry:
                 self.active = False
             else:
                 self._static_keys = {

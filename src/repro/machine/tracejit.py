@@ -47,12 +47,13 @@ chain spans a call are not auditable (same rule as call blocks), and a
 demoted or storm-disabled code object drops its traces with its blocks.
 
 Executor ladder (:mod:`repro.machine.ladder`): traces are the top
-tier, on top of block versioning.  The executor runs the trace driver
-only for code stamped ``trace``; the degradation ladder's first descent
-("no-trace") drops ``code._traces`` with the blocks and recompiles at
-``lbbv``, so a storming function sheds this tier first instead of
-losing everything at once.  ``REPRO_TIER=lbbv`` turns the tier off for
-a whole engine.
+tier, on top of block versioning.  :func:`run_blocks`, the one driver
+for every tier from ``block`` up, attaches a trace table only to code
+stamped ``trace``; below it the driver has no anchors and counts no
+edges.  The degradation ladder's first descent ("no-trace") drops
+``code._traces`` with the blocks and recompiles at ``lbbv``, so a
+storming function sheds this tier first instead of losing everything at
+once.  ``REPRO_TIER=lbbv`` turns the tier off for a whole engine.
 
 ``REPRO_TRACEJIT_BUDGET`` (edge events before promotion),
 ``REPRO_TRACEJIT_HOT`` (edge heat threshold) and
@@ -64,7 +65,7 @@ runs.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..isa.semantics import fused_block_edges
 from ..jit.codegen import THIS_REG
@@ -89,6 +90,10 @@ if TYPE_CHECKING:
     from .executor import Executor
 
 _CALL_KINDS = frozenset({K_CALL_JS, K_CALL_DYN, K_CALL_RT})
+
+#: ladder gates as plain ints, the type of ``CodeObject._tier``
+_LBBV = int(Tier.LBBV)
+_TRACE = int(Tier.TRACE)
 
 #: hard caps, well above anything the suite forms: a chain longer than
 #: MAX_CHAIN blocks stops growing; a table keeps at most MAX_TRACES.
@@ -187,7 +192,7 @@ class TraceTable:
         self.promoted = True
         self.counting = False
         table = self.table
-        if table.demoted or table.flags_live:
+        if table.demoted:
             return
         # Hottest successor per source block, deterministically (higher
         # count wins; ties break towards the smaller block id).
@@ -442,7 +447,6 @@ class _TraceCompiler(_BlockCompiler):
         self.table = table
         self.block_of = table.block_of
         self.n_blocks = len(table.spans)
-        self.flags_live = False  # flags-live tables are never traced
         self.plans = dict(table.typed_plans)
         self.glb["dem"] = tt.dem
         self.audited = executor._audit is not None
@@ -710,44 +714,62 @@ class _TraceCompiler(_BlockCompiler):
         return out
 
 
-# -- the trace-aware driver ----------------------------------------------
+# -- the block driver ---------------------------------------------------
 
 
-def run_traced(ex: "Executor", code: "CodeObject", args, this_word: int):
-    """Three-tier dispatch: traces where anchored, blocks elsewhere.
+def run_blocks(ex: "Executor", code: "CodeObject", args, this_word: int):
+    """The one driver for code stamped ``block`` or higher: traces where
+    anchored, fused blocks elsewhere.
 
-    Structurally the block driver (:meth:`Executor._run_blocks`) with a
-    per-dispatch anchor lookup; after *any* trace exit at least one
-    block runs through the ordinary block path before anchors are
-    consulted again, so a trace that immediately side-exits (sample
-    window closing in, pending trips, demotion) cannot livelock the
-    driver.  While the edge budget lasts, block-path transitions feed
-    the ``(src, dst)`` counters that chain formation consumes.
+    Retires one fused basic block (or one trace) per iteration.  A block
+    whose cycle window may contain a sample tick, or any block while an
+    injected deopt trip is pending, runs through its stepped twin
+    instead of its fused closure.  The prologue attaches what the stamp
+    asks for: the version table from ``lbbv`` up, and a trace table only
+    at ``trace`` (and only while the block table is not demoted and its
+    traces are not disabled) — below that the anchor list is empty and
+    edge counting is off, so the loops run plain blocks.
+
+    After *any* trace exit at least one block runs through the ordinary
+    block path before anchors are consulted again, so a trace that
+    immediately side-exits (sample window closing in, pending trips,
+    demotion) cannot livelock the driver.  While the edge budget lasts,
+    block-path transitions feed the ``(src, dst)`` counters that chain
+    formation consumes.
     """
     table = code._blocks
     if table is None or table.executor is not ex:
         table = code._blocks = compile_blocks(code, ex)
-    if table.flags_live or table.demoted:
-        # Flag-threading ABI (documented trace/audit limitation) or an
-        # already-demoted table: the two-tier driver handles both.
-        return ex._run_blocks(code, args, this_word)
-    tt = code._traces
-    if tt is None or tt.executor is not ex or tt.table is not table:
-        tt = code._traces = TraceTable(code, table, ex)
-        table.traces = tt
-    if tt.disabled:
-        return ex._run_blocks(code, args, this_word)
-    # Traces sit above block versioning on the ladder: the version
-    # table is always attached here.
-    versions = code._versions
-    if versions is None or versions.table is not table:
-        from .lbbv import attach_versions
+        if table is None:
+            # Flags cross a block boundary: the compiler lowered the
+            # stamp, so later activations go straight to the step loop.
+            return ex._run_steps(code, args, this_word)
+    tier = code._tier
+    vmap = None
+    if tier >= _LBBV:
+        versions = code._versions
+        if versions is None or versions.table is not table:
+            from .lbbv import attach_versions
 
-        versions = attach_versions(code, table, ex)
-    # Version driver entries live past the anchor range; ``vmap``
-    # translates them back to base block ids for anchor lookup and edge
-    # counting, so trace formation sees the same base CFG either way.
-    vmap = versions.base_of
+            versions = attach_versions(code, table, ex)
+        # Version driver entries live past the anchor range; ``vmap``
+        # translates them back to base block ids for anchor lookup and
+        # edge counting, so trace formation sees the same base CFG.
+        vmap = versions.base_of
+    tt = None
+    anchors: Sequence[object] = ()
+    counting = False
+    if tier == _TRACE and not table.demoted:
+        tt = code._traces
+        if tt is None or tt.executor is not ex or tt.table is not table:
+            tt = code._traces = TraceTable(code, table, ex)
+            table.traces = tt
+        if not tt.disabled:
+            anchors = tt.anchors
+            counting = tt.counting
+            ec = tt.edge_counts
+            if counting:
+                tt.entries += 1
     regs: List[int] = [0] * code.target.gpr_count
     fregs: List[float] = [0.0] * code.target.fpr_count
     frame: List[object] = [0] * max(1, code.stack_slots)
@@ -757,16 +779,19 @@ def run_traced(ex: "Executor", code: "CodeObject", args, this_word: int):
     regs[THIS_REG] = this_word
     heap_words = ex.heap.words
     blocks = table.driver
-    anchors = tt.anchors
     n_anchor = len(anchors)
     local_cycles = ex.cycles
     bid = 0
-    counting = tt.counting
-    ec = tt.edge_counts
-    if counting:
-        tt.entries += 1
     audit = ex._audit
     if audit is not None:
+        # The divergence-sentinel loop, inline so call-heavy code pays no
+        # extra frame per activation.  The schedule is anchored to the
+        # global ``stats.instructions`` counter, so progress spans nested
+        # activations: a loop re-reads ``audit.due`` when its local copy
+        # fires and stands down if a descendant already audited.
+        # Demotion needs no per-block check: ``BlockTable.demote`` sets
+        # every driver cost to inf, which the sample-window test below
+        # routes onto the stepped twins.
         auditable = table.auditable
         stats = ex.stats
         due = audit.due
@@ -851,6 +876,9 @@ def run_traced(ex: "Executor", code: "CodeObject", args, this_word: int):
                 return ex.ret_value
         total_cost, fused, stepped = blocks[bid]
         exit_cycles = local_cycles + total_cost
+        # A sample tick inside the block's window, or a pending trip,
+        # needs per-pc fidelity.  Both are re-read per block: calls
+        # inside a block move the sample clock and consume trips.
         if exit_cycles >= ex._next_sample or ex.forced_deopt_trips > 0:
             nbid, local_cycles = stepped(
                 regs, fregs, frame, special, heap_words, local_cycles,

@@ -57,9 +57,6 @@ class PCSampler:
 
     # Queries --------------------------------------------------------------
 
-    def jit_sample_count(self) -> int:
-        return self.total_samples - self.other_samples
-
     def samples_by_code(self) -> Dict[CodeObject, Dict[int, int]]:
         per_code: Dict[CodeObject, Dict[int, int]] = {}
         for (code_id, pc), count in self.jit_samples.items():

@@ -67,10 +67,6 @@ def clear_run_context(*keys: str) -> None:
         _RUN_CONTEXT.pop(key, None)
 
 
-def run_context() -> Dict[str, object]:
-    return dict(_RUN_CONTEXT)
-
-
 def serialize_plan(plan: object) -> Optional[Dict[str, object]]:
     """A :class:`repro.resilience.faults.FaultPlan` as plain JSON data."""
     if plan is None:
@@ -90,8 +86,7 @@ def serialize_plan(plan: object) -> Optional[Dict[str, object]]:
 ENV_KEYS = (
     "REPRO_TIER", "REPRO_VERIFY", "REPRO_AUDIT", "REPRO_CHAOS_AUDIT",
     "REPRO_CHAOS_EXEC", "REPRO_TRACEJIT_BUDGET", "REPRO_TRACEJIT_HOT",
-    "REPRO_TRACEJIT_ENTRY", "REPRO_CONTINUATIONS", "REPRO_CONT_BUDGET",
-    "REPRO_CHAOS_FUZZ",
+    "REPRO_TRACEJIT_ENTRY", "REPRO_CONTINUATIONS", "REPRO_CHAOS_FUZZ",
 )
 
 

@@ -74,9 +74,7 @@ def _replay_env(record: Dict[str, object], extra: Dict[str, str]):
                 desired[key] = str(recorded[key])
     desired.update(extra)
     saved: Dict[str, Optional[str]] = {}
-    touched = set(ENV_KEYS) | set(desired) | {
-        "REPRO_BUNDLE_DIR", "REPRO_CHAOS_MAIN_PID", "REPRO_BUNDLES",
-    }
+    touched = set(ENV_KEYS) | set(desired) | {"REPRO_BUNDLE_DIR", "REPRO_BUNDLES"}
     for key in touched:
         saved[key] = os.environ.get(key)
         if key in desired:
@@ -285,10 +283,9 @@ def _reproduce_cell_failure(record: Dict[str, object]) -> Tuple[bool, str]:
         noise=bool(data.get("noise", True)),
     )
     with tempfile.TemporaryDirectory(prefix="repro-replay-") as scratch:
-        # REPRO_CHAOS_MAIN_PID must NOT name this process: the recorded
-        # crash/hang happened in a pool worker and the chaos hook only
-        # fires off the main pid — a fresh single-worker pool recreates
-        # exactly that.
+        # The recorded crash/hang happened in a pool worker, and the
+        # chaos hook only fires off the scheduler's pid — a fresh
+        # single-worker pool recreates exactly that.
         with _replay_env(record, {"REPRO_BUNDLE_DIR": scratch}):
             pool = ProcessPoolExecutor(max_workers=1)
             future = pool.submit(compute_cell, cell)

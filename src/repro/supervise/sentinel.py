@@ -1,4 +1,4 @@
-"""Online divergence sentinel for the two-tier block executor.
+"""Online divergence sentinel for the block driver.
 
 PR 4 proved the fused tier faithful *offline* (a sweep script diffing
 whole-run results); this module holds it to a runtime bisimulation
@@ -6,8 +6,8 @@ obligation instead.  On a deterministic audit schedule, the executor
 hands the sentinel a basic block it is about to run through the fused
 closure.  The sentinel then **shadow-executes** the block twice — once
 through the stepped twin (the per-instruction reference) and once
-through the fused closure — against copies of the register file, frame
-and flag state and a copy-on-write heap overlay, compares the complete
+through the fused closure — against copies of the register files and
+frame and a copy-on-write heap overlay, compares the complete
 outcome (next block id, bit-exact cycle total, registers, float
 registers, frame, special registers, heap writes, branch-predictor and
 counter deltas, exception parity), restores all shared state, and only
@@ -31,9 +31,9 @@ Under those conditions the generated closures touch only their
 positional state arguments plus the branch predictor and counter
 objects — both snapshot-restored around each probe — and the stepped
 twin's per-pc sampler poll can never fire (every prefix cost is ≤ the
-block total, which is below the sample due point).  Tables using the
-rare flag-threading ABI are not audited (documented limitation; the
-slim ABI covers every benchmark in the suite).
+block total, which is below the sample due point).  Every block table
+is auditable: code whose flags cross a block boundary never gets one
+(it runs on the step loop, the reference itself).
 
 The audit **schedule** is deterministic: gaps (in *retired
 instructions*, the executor's global ``stats.instructions`` counter)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ...isa.base import FRAME_BASE, MachineInstr, MOp
 
@@ -59,9 +59,6 @@ def decode(instr: MachineInstr) -> DecodedInstr:
     reads: List[int] = []
     writes: List[int] = []
     klass = _CLASS_OF.get(op, "alu")
-
-    def int_reg(r: int) -> Optional[int]:
-        return r if r >= 0 else None
 
     # source registers
     if op in _FLOAT_SRC1:

@@ -621,11 +621,6 @@ class Heap:
             }
         return f"<{itype.name}@{addr}>"
 
-    def instance_type_of(self, word: int) -> Optional[InstanceType]:
-        if is_smi(word):
-            return None
-        return self.map_of(word >> 1).instance_type
-
     # ------------------------------------------------------------------
     # Garbage collection (mark-sweep, non-moving)
     # ------------------------------------------------------------------
@@ -706,10 +701,6 @@ class Heap:
                 if isinstance(child, int):
                     slots.append(child)
         return slots
-
-    @property
-    def live_words(self) -> int:
-        return sum(self._sizes.values())
 
 
 def _is_negative_zero(value: float) -> bool:

@@ -65,11 +65,6 @@ PACKED_DOUBLE_ELEMENTS = ElementsKind.PACKED_DOUBLE
 PACKED_ELEMENTS = ElementsKind.PACKED
 
 
-def generalized_kind(kind: ElementsKind, value_kind: ElementsKind) -> ElementsKind:
-    """Kind required to store a value of ``value_kind`` into a ``kind`` array."""
-    return max(kind, value_kind)
-
-
 class Map:
     """A hidden class.
 
@@ -218,6 +213,3 @@ class MapRegistry:
 
     def __len__(self) -> int:
         return len(self._maps)
-
-    def all_maps(self) -> List[Map]:
-        return list(self._maps)

@@ -279,6 +279,29 @@ class TestStoreAndKeyRules:
         )
         assert run_warmed(tier, body) == 78
 
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            ('var o = {x: 3}; return o["x"];', 3),
+            ('var o = {x: 3}; var k = "x"; return o[k];', 3),
+            ('var o = {x: 1}; o["x"] = 57; return o.x;', 57),
+            ('var o = {}; o["y"] = 57; return o.y;', 57),
+            ('var a = [1, 2, 3]; return a["length"];', 3),
+        ],
+        ids=["literal-key", "variable-key", "store-existing", "store-new",
+             "array-length"],
+    )
+    def test_string_key_is_a_property_access(self, tier, body, expected):
+        """``o["x"]`` reads and writes the named property, first in the
+        interpreter and then (at the default tier) in compiled code."""
+        engine = Engine(EngineConfig(tier=tier))
+        engine.load("function f() { %s }" % body)
+        for _ in range(40):
+            assert engine.call_global("f") == expected
+        shared = next(fn for fn in engine.functions if fn.name == "f")
+        assert (shared.code is not None) == (tier is None)
+
 
 class TestFeedbackCollection:
     def test_binary_feedback_recorded(self):

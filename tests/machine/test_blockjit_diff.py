@@ -11,7 +11,10 @@ with the block executors on (``EngineConfig(tier=Tier.TRACE)``) and off
   PC-sampled run and a fault-injected run;
 * ``test_full_sweep_identity`` (marked slow) widens to every benchmark on
   both ISAs in all three modes — the acceptance sweep, also runnable as
-  ``scripts/blockjit_sweep.py``.
+  ``scripts/blockjit_sweep.py``;
+* code whose deopt branches read flags an earlier block set (a patched
+  code generator) must run on the step loop at tier ``trace``, with
+  tier ``opt``'s results.
 
 Stepped twins compile on their first call, so the sampled, injected and
 sweep tests above also exercise that path; the lazy-twin tests below pin
@@ -21,10 +24,13 @@ its bookkeeping.
 import pytest
 
 from repro.engine import Engine, EngineConfig
-from repro.machine import blockjit
+from repro.isa.base import MOp
+from repro.jit.codegen import CodeGenerator
+from repro.machine import blockjit, tracejit
 from repro.machine.ladder import Tier
 from repro.profiling.sampler import attach_sampler, window_straddles_tick
 from repro.resilience.faults import FaultInjector, plan_for
+from repro.resilience.oracle import deopt_stream
 from repro.suite.runner import BenchmarkRunner
 from repro.suite.spec import all_benchmarks, get_benchmark
 
@@ -276,3 +282,58 @@ def test_twin_first_reached_after_demotion():
     held = assert_swapped(table, before, placeholder, twin)
     assert bid in held and index in held
     assert all(table.driver[i][0] == float("inf") for i in held)
+
+
+# -- flags that cross a fused-block boundary ------------------------------
+
+
+def split_deopt_branches(monkeypatch):
+    """Patch the code generator so every deopt branch opens a fused block
+    of its own: a ``B`` to the very next pc ends the block that set the
+    flags, and the branch reads them across the boundary."""
+    emit_deopt_branch = CodeGenerator._emit_deopt_branch
+
+    def split(self, cc, check_id):
+        if self.emit_check_branches:
+            self.emit(MOp.B, target=len(self.code.instrs) + 1)
+        emit_deopt_branch(self, cc, check_id)
+
+    monkeypatch.setattr(CodeGenerator, "_emit_deopt_branch", split)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_flags_crossing_blocks_run_on_the_step_loop(monkeypatch, target):
+    split_deopt_branches(monkeypatch)
+    looks = []
+    compile_blocks = tracejit.compile_blocks
+
+    def spy(code, executor):
+        table = compile_blocks(code, executor)
+        looks.append((code, table))
+        return table
+
+    monkeypatch.setattr(tracejit, "compile_blocks", spy)
+    runs = {}
+    for tier in (Tier.TRACE, Tier.OPT):
+        config = EngineConfig(target=target, tier=tier, verify=False)
+        runner = BenchmarkRunner(get_benchmark("FIB"), config)
+        injector = FaultInjector(plan_for("FIB", seed=7, iterations=12))
+        result = runner.run(iterations=12, injector=injector)
+        engine = runner.last_engine
+        runs[tier] = (result.result, result.total_cycles,
+                      engine.executor.stats.instructions, deopt_stream(engine))
+        if tier is Tier.TRACE:
+            codes = engine._code_objects
+            assert codes and any(
+                instr.op == MOp.BCC and instr.is_deopt_branch
+                for instr in codes[0].instrs
+            )
+            # The compiler looked at each code object once, rejected it,
+            # and lowered its stamp: every activation ran the step loop.
+            assert [code for code, _table in looks] == codes
+            assert all(table is None for _code, table in looks)
+            for code in codes:
+                assert code._tier == Tier.OPT
+                assert code._blocks is None and code._traces is None
+    assert runs[Tier.TRACE] == runs[Tier.OPT]
+    assert runs[Tier.OPT][3], "the injected trips must show in the stream"
