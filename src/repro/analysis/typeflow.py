@@ -27,7 +27,9 @@ Two analyses run over the machine CFG:
   string, object(shape-set), heap-object, unknown}`` (join = least upper
   bound, shape sets capped at :data:`MAX_SHAPE_SET` then widened to
   ``heap-object``), producing the per-block entry/exit
-  :class:`BlockTypeSummary` artifacts.
+  :class:`BlockTypeSummary` artifacts of the CLI's verbose report.  The
+  engine reads none of them, so it runs only when
+  :attr:`TypeflowResult.summaries` is first read.
 
 Every ``jsldrsmi`` / map-check / bounds-check / tag-check site is then
 classified:
@@ -55,6 +57,9 @@ ERROR diagnostic plus a ``repro.supervise`` crash bundle.  The analysis
 deliberately routes all opcode transfer through the module-level
 ``abstract_transfer_of`` binding so the mutation tests can seed an
 unsound transfer function and assert the cross-validator rejects it.
+Each analysis calls it once per pc, when it is set up, and every later
+query (fixpoint, classification, version seeding, summaries) reads that
+per-instance transfer table.
 
 Engine-level assumption made explicit: bounds-checked indices are
 produced by overflow-checked SMI arithmetic, so the check's unsigned
@@ -78,7 +83,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..isa.base import CC, FRAME_BASE, MachineInstr, MOp
-from ..isa.semantics import abstract_transfer_of, effect_of
+from ..isa.semantics import AbstractTransfer, abstract_transfer_of, effect_of
 from ..jit.codegen import CodeObject
 from ..machine.blockjit import block_spans
 from ..values.maps import ElementsKind
@@ -147,6 +152,83 @@ def _fact_regs(f: Fact) -> Tuple[int, ...]:
     return ()
 
 
+#: one pc's abstract transfer, as the must-analysis applies it:
+#: ``(kills_heap, dest, parity, regeq, copy)`` — the first three from
+#: :class:`~repro.isa.semantics.AbstractTransfer`; ``regeq`` is the
+#: constant fact a ``movi`` establishes and ``copy`` the ``(src, dst)``
+#: registers of a ``movr`` (each None for other opcodes).  A self-move
+#: has no ``dest``: it changes nothing either analysis tracks.
+_Step = Tuple[bool, Optional[Tuple[str, int]], Optional[Tuple],
+              Optional[Fact], Optional[Tuple[int, int]]]
+
+_MOVI = MOp.MOVI
+_MOVR = MOp.MOVR
+_B = MOp.B
+_BCC = MOp.BCC
+_RET = MOp.RET
+_DEOPT = MOp.DEOPT
+_JSLDRSMI = MOp.JSLDRSMI
+
+
+def _step(instr: MachineInstr, at: AbstractTransfer) -> _Step:
+    dest = at.dest
+    regeq: Optional[Fact] = None
+    copy: Optional[Tuple[int, int]] = None
+    op = instr.op
+    if op == _MOVI:
+        regeq = ("regeq", instr.dst, int(instr.imm))
+    elif op == _MOVR:
+        if instr.dst == instr.s1:
+            dest = None
+        else:
+            copy = (instr.s1, instr.dst)
+    return (at.kills_heap, dest, at.parity, regeq, copy)
+
+
+def _atom_parity(atom: Tuple[str, int], facts: Set[Fact]) -> Optional[int]:
+    kind, index = atom
+    if kind == "k":
+        return index
+    if kind == "r":
+        for f in facts:
+            if f[1] == index:
+                tag = f[0]
+                if tag == "par":
+                    return f[2]
+                if tag == "regeq":
+                    return f[2] & 1
+        return None
+    for f in facts:
+        if f[0] == "spar" and f[1] == index:
+            return f[2]
+    return None
+
+
+def _parity(desc: Tuple, facts: Set[Fact]) -> Optional[int]:
+    """Tag-bit parity a parity descriptor yields under ``facts``."""
+    op = desc[0]
+    if op == "const":
+        return desc[1]
+    if op == "copy":
+        return _atom_parity(desc[1], facts)
+    a, b = _atom_parity(desc[1], facts), _atom_parity(desc[2], facts)
+    if op == "xor":
+        return a ^ b if a is not None and b is not None else None
+    if op == "and":
+        if a == 0 or b == 0:
+            return 0
+        if a == 1 and b == 1:
+            return 1
+        return None
+    if op == "or":
+        if a == 1 or b == 1:
+            return 1
+        if a == 0 and b == 0:
+            return 0
+        return None
+    return None
+
+
 def join_typeval(a: Optional[TypeVal], b: Optional[TypeVal]) -> Optional[TypeVal]:
     """Least upper bound of two lattice values; None is unknown (top)."""
     if a is None or b is None:
@@ -204,8 +286,9 @@ class CheckClassification:
 
 @dataclass
 class BlockTypeSummary:
-    """Machine-readable per-block artifact consumed by the blockjit tier
-    (and exported by the typeflow CLI)."""
+    """Entry/exit types and entry facts of one block, for the typeflow
+    CLI's verbose JSON report.  Built on demand from the may-analysis;
+    nothing in the engine reads it."""
 
     block: int
     start: int
@@ -262,10 +345,30 @@ class TypeflowResult:
 
     function: str
     target: str
-    summaries: List[BlockTypeSummary] = field(default_factory=list)
     classifications: Dict[int, CheckClassification] = field(default_factory=dict)
     plans: Dict[int, TypedBlockPlan] = field(default_factory=dict)
     body_instructions: int = 0
+    #: the analysis that builds :attr:`summaries` on first read
+    _source: Optional[_Typeflow] = field(default=None, repr=False, compare=False)
+    _summaries: Optional[List[BlockTypeSummary]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def summaries(self) -> List[BlockTypeSummary]:
+        """Per-block type summaries of every reachable block.  The
+        may-analysis behind them runs on the first read, so code that
+        only classifies checks never pays for it."""
+        summaries = self._summaries
+        if summaries is None:
+            source = self._source
+            summaries = (
+                source.block_summaries(self.classifications)
+                if source is not None else []
+            )
+            self._summaries = summaries
+            self._source = None
+        return summaries
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -329,87 +432,60 @@ class _Typeflow:
             address = getattr(a_map, "address", -1)
             if isinstance(address, int) and address >= 0:
                 self.maps[pointer_tag(address)] = a_map
+        #: one abstract transfer per pc (see :data:`_Step`), taken once,
+        #: here, through the module-level binding the mutation tests patch
+        self.transfers: List[_Step] = [
+            _step(instr, abstract_transfer_of(instr)) for instr in self.instrs
+        ]
         self.sites: Dict[int, _Site] = {}
         self.entry_facts: Dict[int, FrozenSet[Fact]] = {}
-        self.pc_facts: Dict[int, FrozenSet[Fact]] = {}
         self.entry_types: Dict[int, Dict] = {}
         self.exit_types: Dict[int, Dict] = {}
 
     # -- fact transfer ---------------------------------------------------
 
-    def _parity(self, desc: Tuple, facts: Set[Fact]) -> Optional[int]:
-        def atom(a: Tuple[str, int]) -> Optional[int]:
-            kind, index = a
-            if kind == "k":
-                return index
-            par_tag = "par" if kind == "r" else "spar"
-            for f in facts:
-                if f[0] == par_tag and f[1] == index:
-                    return f[2]
-                if kind == "r" and f[0] == "regeq" and f[1] == index:
-                    return f[2] & 1
-            return None
-
-        op = desc[0]
-        if op == "const":
-            return desc[1]
-        if op == "copy":
-            return atom(desc[1])
-        a, b = atom(desc[1]), atom(desc[2])
-        if op == "xor":
-            return a ^ b if a is not None and b is not None else None
-        if op == "and":
-            if a == 0 or b == 0:
-                return 0
-            if a == 1 and b == 1:
-                return 1
-            return None
-        if op == "or":
-            if a == 1 or b == 1:
-                return 1
-            if a == 0 and b == 0:
-                return 0
-            return None
-        return None
-
-    def _kill(self, facts: Set[Fact], dest: Tuple[str, int]) -> None:
-        kind, index = dest
-        if kind == "s":
-            doomed = [f for f in facts if f[0] == "spar" and f[1] == index]
-        else:
-            doomed = [f for f in facts if index in _fact_regs(f)]
-        for f in doomed:
-            facts.discard(f)
-
-    def _apply(self, facts: Set[Fact], instr: MachineInstr) -> None:
-        at = abstract_transfer_of(instr)
-        if at.kills_heap:
-            doomed = [f for f in facts if f[0] in _HEAP_FACTS]
-            for f in doomed:
-                facts.discard(f)
-        dest = at.dest
-        if dest is None:
-            return
-        if instr.op == MOp.MOVR and instr.dst == instr.s1:
-            return  # no-op move preserves everything
-        additions: List[Fact] = []
-        if at.parity is not None:
-            p = self._parity(at.parity, facts)
-            if p is not None:
-                tag = "par" if dest[0] == "r" else "spar"
-                additions.append((tag, dest[1], p))
-        if instr.op == MOp.MOVI:
-            additions.append(("regeq", instr.dst, int(instr.imm)))
-        elif instr.op == MOp.MOVR:
-            src = instr.s1
-            for f in facts:
-                if f[0] in ("par", "regeq") and f[1] == src:
-                    additions.append((f[0], instr.dst) + f[2:])
-                elif f[0] == "map" and f[1] == src:
-                    additions.append(("map", instr.dst, f[2], f[3]))
-        self._kill(facts, dest)
-        for f in additions:
-            facts.add(f)
+    def _advance(self, facts: Set[Fact], start: int, stop: int) -> None:
+        """Apply the transfers of pcs ``start`` to ``stop - 1`` to
+        ``facts`` in place."""
+        transfers = self.transfers
+        for pc in range(start, stop):
+            kills_heap, dest, parity, regeq, copy = transfers[pc]
+            if kills_heap:
+                facts.difference_update(
+                    [f for f in facts if f[0] in _HEAP_FACTS]
+                )
+            if dest is None:
+                continue
+            kind, index = dest
+            additions: List[Fact] = []
+            if parity is not None:
+                p = _parity(parity, facts)
+                if p is not None:
+                    additions.append(("par" if kind == "r" else "spar", index, p))
+            if regeq is not None:
+                additions.append(regeq)
+            elif copy is not None:
+                src, dst = copy
+                for f in facts:
+                    if f[1] == src:
+                        tag = f[0]
+                        if tag == "par" or tag == "regeq":
+                            additions.append((tag, dst) + f[2:])
+                        elif tag == "map":
+                            additions.append(("map", dst, f[2], f[3]))
+            # Kill what the destination's old value supported: the same
+            # facts ``_fact_regs`` names, tested inline.
+            if kind == "s":
+                doomed = [f for f in facts if f[0] == "spar" and f[1] == index]
+            else:
+                pair_tags = ("ub", "memsmi") if index >= 0 else ("ub",)
+                doomed = [
+                    f for f in facts
+                    if (f[1] == index and f[0] != "spar")
+                    or (f[0] in pair_tags and f[2] == index)
+                ]
+            facts.difference_update(doomed)
+            facts.update(additions)
 
     def _add_fact(self, facts: Set[Fact], f: Fact) -> None:
         facts.add(f)
@@ -510,21 +586,15 @@ class _Typeflow:
 
     def _out_edges(
         self, bid: int, entry: FrozenSet[Fact],
-        record: Optional[Dict[int, FrozenSet[Fact]]] = None,
     ) -> List[Tuple[int, FrozenSet[Fact]]]:
         start, end = self.spans[bid]
         facts: Set[Fact] = set(entry)
-        for pc in range(start, end - 1):
-            if record is not None:
-                record[pc] = frozenset(facts)
-            self._apply(facts, self.instrs[pc])
         last_pc = end - 1
+        self._advance(facts, start, last_pc)
         last = self.instrs[last_pc]
-        if record is not None:
-            record[last_pc] = frozenset(facts)
         edges: List[Tuple[int, FrozenSet[Fact]]] = []
         op = last.op
-        if op == MOp.BCC:
+        if op == _BCC:
             taken = self.block_at.get(last.target)
             if taken is not None:
                 edges.append((taken, frozenset(facts)))
@@ -536,15 +606,15 @@ class _Typeflow:
                         and site.fact is not None:
                     self._add_fact(through, site.fact)
                 edges.append((fall, frozenset(through)))
-        elif op == MOp.B:
+        elif op == _B:
             target = self.block_at.get(last.target)
             if target is not None:
                 edges.append((target, frozenset(facts)))
-        elif op in (MOp.RET, MOp.DEOPT):
+        elif op == _RET or op == _DEOPT:
             pass
         else:
-            self._apply(facts, last)
-            if op == MOp.JSLDRSMI:
+            self._advance(facts, last_pc, end)
+            if op == _JSLDRSMI:
                 site = self.sites.get(bid)
                 if site is not None and site.fact is not None \
                         and last.dst not in _fact_regs(site.fact):
@@ -571,8 +641,13 @@ class _Typeflow:
                     if merged != known:
                         self.entry_facts[succ] = merged
                         work.append(succ)
-        for bid, entry in self.entry_facts.items():
-            self._out_edges(bid, entry, record=self.pc_facts)
+
+    def state_at_site(self, bid: int, entry: FrozenSet[Fact]) -> FrozenSet[Fact]:
+        """Must-state at the check site of ``bid`` (its last pc) when
+        ``entry`` holds at block entry."""
+        facts: Set[Fact] = set(entry)
+        self._advance(facts, self.spans[bid][0], self.sites[bid].site_pc)
+        return frozenset(facts)
 
     # -- may-analysis (type summaries) -----------------------------------
 
@@ -612,26 +687,26 @@ class _Typeflow:
             return None
         return None
 
-    def _apply_types(self, types: Dict, instr: MachineInstr) -> None:
+    def _apply_types(self, types: Dict, pc: int) -> None:
+        instr = self.instrs[pc]
         effect = effect_of(instr)
         for freg in effect.float_defs:
             types[("f", freg)] = ("double", None)
-        at = abstract_transfer_of(instr)
-        dest = at.dest
+        _kills_heap, dest, parity, _regeq, _copy = self.transfers[pc]
         if dest is None:
             if instr.op == MOp.STRF and instr.mem is not None \
                     and instr.mem[0] == FRAME_BASE:
                 types[("s", instr.mem[3])] = ("double", None)
             return
         key = (dest[0], dest[1])
-        if at.parity is not None and at.parity[0] == "copy":
-            value = types.get((at.parity[1][0], at.parity[1][1]))
+        if parity is not None and parity[0] == "copy":
+            value = types.get((parity[1][0], parity[1][1]))
             if value is not None:
                 types[key] = value
             else:
                 types.pop(key, None)
             return
-        p = self._typeval_parity(types, at.parity) if at.parity else None
+        p = self._typeval_parity(types, parity) if parity else None
         if p == 0:
             types[key] = ("smi", None)
         elif p == 1:
@@ -669,7 +744,7 @@ class _Typeflow:
         start, end = self.spans[bid]
         types = dict(entry)
         for pc in range(start, end - 1):
-            self._apply_types(types, self.instrs[pc])
+            self._apply_types(types, pc)
         last_pc = end - 1
         last = self.instrs[last_pc]
         self.exit_types[bid] = dict(types)
@@ -693,7 +768,7 @@ class _Typeflow:
         elif last.op in (MOp.RET, MOp.DEOPT):
             pass
         else:
-            self._apply_types(types, last)
+            self._apply_types(types, last_pc)
             self.exit_types[bid] = dict(types)
             successor = self.block_at.get(last_pc + 1)
             if successor is not None:
@@ -773,10 +848,9 @@ class _Typeflow:
         heap_dependent = fact[0] in _HEAP_FACTS
         start, _end = self.spans[bid]
         for pc in range(start, site.site_pc):
-            instr = self.instrs[pc]
-            if regs & effect_of(instr).int_defs:
+            if regs & effect_of(self.instrs[pc]).int_defs:
                 return False
-            if heap_dependent and abstract_transfer_of(instr).kills_heap:
+            if heap_dependent and self.transfers[pc][0]:
                 return False
         return True
 
@@ -846,8 +920,9 @@ class _Typeflow:
                     False,
                 )
                 continue
-            state = self.pc_facts.get(site.site_pc, frozenset())
-            implied, why = self._implied(state, site.fact)
+            implied, why = self._implied(
+                self.state_at_site(bid, entry), site.fact
+            )
             if implied:
                 actions = self._actions(site)
                 result[site.check_id] = CheckClassification(
@@ -907,7 +982,8 @@ class _Typeflow:
         """Finish an instance :class:`VersionAnalysis` prepared (sites
         found, must-fixpoint converged) into the static result.  The
         steps here only read ``sites`` and the must-facts, so the same
-        instance keeps serving the LBBV queries."""
+        instance keeps serving the LBBV queries; the result's block
+        summaries are built from it on first read."""
         name = getattr(getattr(self.code.shared, "info", None), "name", "?")
         result = TypeflowResult(function=name, target=self.code.target.name)
         result.body_instructions = sum(
@@ -915,16 +991,25 @@ class _Typeflow:
         )
         if not self.instrs:
             return result
-        self._run_may()
         result.classifications = self._classify()
         result.plans = self._build_plans(result.classifications)
-        by_block = {c.block: c for c in result.classifications.values()}
+        result._source = self
+        return result
+
+    def block_summaries(
+        self, classifications: Dict[int, CheckClassification]
+    ) -> List[BlockTypeSummary]:
+        """Run the may-analysis and render one summary per block the
+        must-analysis reached."""
+        self._run_may()
+        by_block = {c.block: c for c in classifications.values()}
+        summaries: List[BlockTypeSummary] = []
         for bid, (start, end) in enumerate(self.spans):
             if bid not in self.entry_facts:
                 continue  # unreachable: no summary
             entry_t = self.entry_types.get(bid, {})
             exit_t = self.exit_types.get(bid, {})
-            result.summaries.append(BlockTypeSummary(
+            summaries.append(BlockTypeSummary(
                 block=bid,
                 start=start,
                 end=end,
@@ -941,7 +1026,7 @@ class _Typeflow:
                 )),
                 check=by_block.get(bid),
             ))
-        return result
+        return summaries
 
 
 #: fact tags the machine tier can test dynamically — the shared guard
@@ -1023,18 +1108,6 @@ class VersionAnalysis:
             cached = self._out_cache[key] = self._tf._out_edges(bid, key[1])
         return cached
 
-    def state_at_site(self, bid: int, entry) -> Optional[FrozenSet[Fact]]:
-        """Propagated fact state at the block's check site under
-        ``entry``, or None when the block has no classified site."""
-        site = self.sites.get(bid)
-        if site is None:
-            return None
-        start, _end = self.spans[bid]
-        facts: Set[Fact] = set(entry)
-        for pc in range(start, site.site_pc):
-            self._tf._apply(facts, self._tf.instrs[pc])
-        return frozenset(facts)
-
     def plan_for(self, bid: int, entry) -> Optional[TypedBlockPlan]:
         """Guard-free elision plan for ``bid`` assuming ``entry`` holds
         at block entry; None when the site is not provably redundant
@@ -1051,7 +1124,7 @@ class VersionAnalysis:
         return plan
 
     def _plan_for_uncached(self, bid, entry, site):
-        state = self.state_at_site(bid, entry)
+        state = self._tf.state_at_site(bid, entry)
         implied, _why = self._tf._implied(state, site.fact)
         if not implied:
             return None

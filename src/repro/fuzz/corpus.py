@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..suite.spec import BenchmarkSpec
-from .generator import GENERATOR_VERSION, FuzzConfig, FuzzProgram
+from .generator import GENERATOR_VERSION, FuzzConfig
 from .oracle import FuzzVerdict, source_digest
 
 #: bump when the entry payload layout changes shape

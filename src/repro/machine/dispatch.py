@@ -48,7 +48,6 @@ from ..isa.semantics import fused_block_leaders
 from ..jit.checks import REASON_CODES
 
 if TYPE_CHECKING:
-    from .executor import CostModel
     from ..jit.codegen import CodeObject
 
 _UINT32 = 0xFFFFFFFF

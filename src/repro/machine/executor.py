@@ -105,6 +105,18 @@ _UINT32 = 0xFFFFFFFF
 _BLOCK = int(Tier.BLOCK)
 
 
+def _block_driver(executor, code, args, this_word):
+    """Stand-in for :func:`repro.machine.tracejit.run_blocks` until the
+    first block-tier activation, which imports the driver, puts it in
+    this name's place and calls it.  Importing tracejit with this module
+    would load it and blockjit into every engine import."""
+    global _block_driver
+    from .tracejit import run_blocks
+
+    _block_driver = run_blocks
+    return run_blocks(executor, code, args, this_word)
+
+
 class CostModel:
     """Per-instruction-class cycle costs for the fast timing model.
 
@@ -331,9 +343,7 @@ class Executor:
         """
         if (code._tier >= _BLOCK and self.trace is None
                 and not code._supervise_demoted):
-            from .tracejit import run_blocks
-
-            return run_blocks(self, code, args, this_word)
+            return _block_driver(self, code, args, this_word)
         return self._run_steps(code, args, this_word)
 
     def _run_steps(

@@ -70,6 +70,17 @@ if TYPE_CHECKING:
 MAX_VERSIONS = 4
 
 
+def _version_key(state) -> FrozenSet:
+    """Stand-in for :func:`repro.analysis.typeflow.version_key` until
+    the first call, which imports it, puts it in this name's place and
+    calls it (typeflow is imported lazily throughout this module)."""
+    global _version_key
+    from ..analysis.typeflow import version_key
+
+    _version_key = version_key
+    return version_key(state)
+
+
 def default_lbbv() -> bool:
     """Does the process-wide tier include block versioning?"""
     return default_tier() >= Tier.LBBV
@@ -197,12 +208,10 @@ class VersionTable:
     # -- helpers ---------------------------------------------------------
 
     def _key(self, state) -> FrozenSet:
-        from ..analysis.typeflow import version_key
-
         snapshot = frozenset(state)
         cached = self._key_memo.get(snapshot)
         if cached is None:
-            cached = self._key_memo[snapshot] = version_key(snapshot)
+            cached = self._key_memo[snapshot] = _version_key(snapshot)
         return cached
 
     def base_bid(self, bid: object) -> object:

@@ -24,7 +24,7 @@ import dataclasses
 import random
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from ..engine import Engine, EngineConfig
 from ..jit.checks import CheckKind, DeoptCategory, category_of

@@ -95,7 +95,7 @@ def _cmd_inject(args) -> int:
         os.environ["REPRO_BUNDLE_DIR"] = args.bundle_dir
 
     from .bundles import bundle_dir as resolved_bundle_dir
-    from ..suite.runner import BenchmarkRunner, NoiseModel
+    from ..suite.runner import BenchmarkRunner
     from ..suite.spec import get_benchmark
 
     injector = None

@@ -5,6 +5,7 @@ the validator rejects a broken abstract transfer."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -29,7 +30,9 @@ from repro.jit.checks import CheckKind
 from repro.jit.codegen import CodeObject
 from repro.jit.deopt import DeoptPoint
 from repro.machine.ladder import Tier
+from repro.resilience.faults import FaultInjector, plan_for
 from repro.suite import compile_benchmark, get_benchmark
+from repro.suite.runner import BenchmarkRunner
 
 SMI = ("smi", None)
 DOUBLE = ("double", None)
@@ -192,6 +195,59 @@ def test_one_must_analysis_feeds_plans_and_versions(name, target, monkeypatch):
             assert ctx.out_states(bid, entry) == reference._out_edges(bid, entry)
 
 
+@pytest.mark.parametrize("name", ["FIB", "AES2"])
+def test_engine_never_runs_the_may_analysis(name, monkeypatch):
+    """Only the CLI's verbose report reads the block summaries, so the
+    engine (typed plans, versions, continuation tokens under a fault
+    plan) never runs the may-analysis behind them — and a later report
+    still gets every block."""
+
+    def forbidden(self):
+        raise AssertionError("the engine ran the may-analysis")
+
+    iterations = 12
+    runner = BenchmarkRunner(get_benchmark(name), EngineConfig(target="arm64"))
+    with monkeypatch.context() as patch:
+        patch.setattr(typeflow._Typeflow, "_run_may", forbidden)
+        runner.run(
+            iterations=iterations,
+            injector=FaultInjector(plan_for(name, 0, iterations)),
+        )
+    engine = runner.last_engine
+    assert engine.resilience_stats()["continuation_dispatches"] > 0
+    codes = [code for code in engine._code_objects if code.instrs]
+    assert codes
+    for code in codes:
+        assert analyze_typeflow(code).to_json()["blocks"]
+
+
+@pytest.mark.parametrize("target", ["arm64", "x64"])
+@pytest.mark.parametrize("name", ["AES2", "SPLAY"])
+def test_one_transfer_per_pc_per_analysis(name, target, monkeypatch):
+    """Each analysis takes every pc's abstract transfer once: the
+    must-fixpoint, classification, LBBV seeding and the on-demand
+    summaries all read one table instead of rebuilding transfers per
+    visit."""
+    calls = Counter()
+
+    def counted(instr):
+        calls[id(instr)] += 1
+        return abstract_transfer_of(instr)
+
+    monkeypatch.setattr(typeflow, "abstract_transfer_of", counted)
+    engine = compile_benchmark(
+        get_benchmark(name),
+        EngineConfig(target=target, tier=Tier.LBBV, verify=False),
+        iterations=12,
+    )
+    assert any(table.created for table in engine._version_tables())
+    codes = [code for code in engine._code_objects if code.instrs]
+    for code in codes:
+        analyze_typeflow(code).to_json()
+    assert max(calls.values()) == 1
+    assert sum(calls.values()) == sum(len(code.instrs) for code in codes)
+
+
 # -- seeded unsoundness (mutation test) -----------------------------------
 
 
@@ -215,6 +271,45 @@ def _smi_check_code():
     code.stack_slots = 2
     code.serial = 0
     return code
+
+
+def test_block_summaries_report_is_pinned():
+    """The verbose report's per-block summaries of a hand-built code
+    object.  Block 1 is the fall-through of a check that always fires:
+    its entry facts hold both parities of r10 (an infeasible path)."""
+    check = {
+        "check_id": 0, "kind": "NOT_A_SMI", "site": "branch", "pc": 4,
+        "block": 0, "class": "required", "fact": "r10 is smi",
+        "reason": "operands or heap state change between block entry "
+                  "and the check",
+        "eligible": False,
+    }
+    r10_tagged = {"r10": "heap-object", "r8": "smi", "r9": "heap-object"}
+    assert analyze_typeflow(_smi_check_code()).to_json()["blocks"] == [
+        {
+            "block": 0, "span": [0, 5], "entry_types": {},
+            "exit_types": r10_tagged, "entry_facts": [], "check": check,
+        },
+        {
+            "block": 1, "span": [5, 6],
+            "entry_types": {"r10": "smi", "r8": "smi", "r9": "heap-object"},
+            "exit_types": {"r10": "smi", "r8": "smi", "r9": "heap-object"},
+            "entry_facts": [
+                "r10 is heap-ptr", "r10 is smi", "r8 == 4", "r8 is smi",
+                "r9 == 5", "r9 is heap-ptr",
+            ],
+            "check": None,
+        },
+        {
+            "block": 2, "span": [6, 7], "entry_types": r10_tagged,
+            "exit_types": r10_tagged,
+            "entry_facts": [
+                "r10 is heap-ptr", "r8 == 4", "r8 is smi", "r9 == 5",
+                "r9 is heap-ptr",
+            ],
+            "check": None,
+        },
+    ]
 
 
 def test_sound_transfer_keeps_real_check_required():
