@@ -12,10 +12,13 @@ acceptance oracle for check elision — including the trace tier's
 variant, a stitched chain, a specialized version body or a rechained
 edge that drops a check it should not drop diverges here.  The trace
 tier runs with low promotion thresholds (REPRO_TRACEJIT_* set below) so
-chains actually form and execute within the 20-iteration cells.  CI
-runs the same oracle on the smoke subset via
-tests/machine/test_tracejit_diff.py; this script is the exhaustive
-acceptance sweep (about 15 minutes of CPU).
+chains actually form and execute within the 20-iteration cells.  The
+tier-1 tests run the same oracle on the smoke subset
+(tests/machine/test_tracejit_diff.py); this script is the exhaustive
+acceptance sweep, and a CI step runs it (about 5 minutes on a 2-vCPU
+VM).  Closures compile on their first call, so its sampled and injected
+modes are the only sweep runs that compile stepped twins.  Exits 1 on
+any divergent configuration.
 
 Usage: PYTHONPATH=src python scripts/blockjit_sweep.py
 """

@@ -46,7 +46,13 @@ from typing import Dict, List, Tuple
 
 from ..engine import EngineConfig
 from ..exec import MISS, DiskCache
-from ..suite import all_benchmarks, compile_benchmark, compiled_code_objects, get_benchmark
+from ..suite import (
+    BenchmarkSpec,
+    all_benchmarks,
+    compile_benchmark,
+    compiled_code_objects,
+    get_benchmark,
+)
 from .density import analyze_density
 from .diagnostics import Diagnostic, Severity, render_table
 from .mclint import lint_code
@@ -278,7 +284,7 @@ def main(argv: List[str] | None = None) -> int:
     return exit_code
 
 
-def _run_typeflow(options, specs) -> int:
+def _run_typeflow(options: argparse.Namespace, specs: List[BenchmarkSpec]) -> int:
     targets = (options.target,) if options.target else ("arm64", "x64")
     tasks = [
         (spec.name, target, options.iterations, options.verbose)

@@ -31,7 +31,7 @@ shapes:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..isa.base import MachineInstr, MOp
 from ..isa.semantics import (
@@ -49,6 +49,10 @@ from ..machine.blockjit import block_spans
 from ..jit.deopt import Location
 from .diagnostics import Diagnostic, Severity, errors
 from .verifier import VerificationError
+
+if TYPE_CHECKING:
+    from ..machine.lbbv import VersionTable
+    from .typeflow import Fact
 
 
 def lint_code(code: CodeObject) -> List[Diagnostic]:
@@ -673,7 +677,7 @@ def _meet(a: _State, b: _State) -> _State:
 # -- lazy block versioning ---------------------------------------------------
 
 
-def check_version_chains(table) -> List[Diagnostic]:
+def check_version_chains(table: VersionTable) -> List[Diagnostic]:
     """``version-entry-guard``: a chained edge may only skip guards whose
     facts the predecessor's state establishes.
 
@@ -700,14 +704,15 @@ def check_version_chains(table) -> List[Diagnostic]:
     if ctx is None:
         return diagnostics
 
-    def edge_states(bid, entry):
-        states = {}
+    def edge_states(bid: int, entry: Iterable[Fact]) -> Dict[int, FrozenSet[Fact]]:
+        states: Dict[int, FrozenSet[Fact]] = {}
         for succ, state in ctx.out_states(bid, frozenset(entry)):
             held = states.get(succ)
             states[succ] = state if held is None else (held & state)
         return states
 
-    def check_edges(source: str, bid, entry, chained):
+    def check_edges(source: str, bid: int, entry: Iterable[Fact],
+                    chained: Iterable[Tuple[int, int]]) -> None:
         states = edge_states(bid, entry)
         for succ, index in chained:
             target = table.by_index.get(index)
@@ -750,7 +755,7 @@ def check_version_chains(table) -> List[Diagnostic]:
     return diagnostics
 
 
-def assert_version_chains_clean(table) -> List[Diagnostic]:
+def assert_version_chains_clean(table: VersionTable) -> List[Diagnostic]:
     """Check the version-entry-guard invariant; raise on any error."""
     diagnostics = check_version_chains(table)
     bad = errors(diagnostics)

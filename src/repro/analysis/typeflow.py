@@ -80,7 +80,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from pathlib import Path
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..isa.base import CC, FRAME_BASE, MachineInstr, MOp
 from ..isa.semantics import AbstractTransfer, abstract_transfer_of, effect_of
@@ -1044,7 +1045,7 @@ def guardable_fact(fact: Fact) -> bool:
     return bool(fact) and fact[0] in GUARDABLE_FACTS
 
 
-def version_key(state) -> FrozenSet[Fact]:
+def version_key(state: Iterable[Fact]) -> FrozenSet[Fact]:
     """Canonical LBBV version key for a fact state: the dynamically
     testable (guardable) subset.  Facts outside the guard vocabulary
     cannot be established by a dispatcher nor promised across a chained
@@ -1098,7 +1099,7 @@ class VersionAnalysis:
         ] = {}
 
     def out_states(
-        self, bid: int, entry,
+        self, bid: int, entry: Iterable[Fact],
     ) -> List[Tuple[int, FrozenSet[Fact]]]:
         """Outgoing ``(successor, fact-state)`` edges of ``bid`` under a
         custom entry state (sound for any entry that actually holds)."""
@@ -1108,7 +1109,9 @@ class VersionAnalysis:
             cached = self._out_cache[key] = self._tf._out_edges(bid, key[1])
         return cached
 
-    def plan_for(self, bid: int, entry) -> Optional[TypedBlockPlan]:
+    def plan_for(
+        self, bid: int, entry: Iterable[Fact],
+    ) -> Optional[TypedBlockPlan]:
         """Guard-free elision plan for ``bid`` assuming ``entry`` holds
         at block entry; None when the site is not provably redundant
         under that state (versions never carry hoisted guards — a state
@@ -1119,13 +1122,15 @@ class VersionAnalysis:
         memo_key = (bid, frozenset(entry))
         if memo_key in self._plan_cache:
             return self._plan_cache[memo_key]
-        plan = self._plan_for_uncached(bid, memo_key[1], site)
+        plan = self._plan_for_uncached(bid, memo_key[1], site, site.fact)
         self._plan_cache[memo_key] = plan
         return plan
 
-    def _plan_for_uncached(self, bid, entry, site):
+    def _plan_for_uncached(
+        self, bid: int, entry: FrozenSet[Fact], site: _Site, fact: Fact,
+    ) -> Optional[TypedBlockPlan]:
         state = self._tf.state_at_site(bid, entry)
-        implied, _why = self._tf._implied(state, site.fact)
+        implied, _why = self._tf._implied(state, fact)
         if not implied:
             return None
         actions = self._tf._actions(site)
@@ -1135,11 +1140,11 @@ class VersionAnalysis:
         start, end = self.spans[bid]
         return TypedBlockPlan(
             bid=bid, start=start, end=end, check_id=site.check_id,
-            site=site.site, site_pc=site.site_pc, fact=site.fact,
+            site=site.site, site_pc=site.site_pc, fact=fact,
             guards=(), actions=actions, n_cond_elided=elided,
         )
 
-    def establishes(self, state, facts) -> bool:
+    def establishes(self, state: Iterable[Fact], facts: Iterable[Fact]) -> bool:
         """True when ``state`` implies every fact in ``facts`` — the
         legality predicate for a guard-free chained edge (mclint's
         ``version-entry-guard`` invariant re-derives edges with this)."""
@@ -1182,7 +1187,8 @@ def typed_plans(code: CodeObject) -> Dict[int, TypedBlockPlan]:
 
 
 def cross_validate(
-    codes, check_trips: Dict[Tuple[int, int], int], bundle_root=None,
+    codes: Iterable[CodeObject], check_trips: Dict[Tuple[int, int], int],
+    bundle_root: Optional[Path] = None,
 ) -> List[Diagnostic]:
     """Static-vs-dynamic soundness check over a run's code-object history.
 

@@ -32,10 +32,18 @@ twin whenever per-instruction fidelity is required:
   (:attr:`Executor.forced_deopt_trips`), so the trip lands on the exact
   deopt branch the step loop would have tripped.
 
-The divergence sentinel's audits and demotions run twins too.  Most
-blocks never meet any of these, so a twin is compiled on its block's
-first stepped call (see :meth:`_BlockCompiler._lazy_twin`), not with the
-code object's module.
+The divergence sentinel's audits and demotions run twins too.
+
+Closures compile on their first call.  :func:`compile_blocks` only
+partitions the code, checks the flags, fetches the typed plans and
+counts each block's static statistics.  Each closure starts as a
+placeholder (:class:`_Lazy`) that, on its first call,
+assembles that closure alone, compiles it through the source memo and
+swaps it into the slots holding the placeholder.  A run thus compiles
+the fused bodies of the blocks it enters, a typed body's generic
+fallback only when an entry guard fails, and a stepped twin only when
+sampling, an injected trip, an audit or a demotion routes its block
+through it.
 
 Instruction tracing for the pipeline models disables block mode entirely
 (the step loop is the only tier that materializes traces).
@@ -143,8 +151,9 @@ _UINT32 = 4294967295
 #: a plain int)
 _OPT = int(Tier.OPT)
 
-#: process-wide source -> compiled module cache.  The generated source
-#: embeds every literal (operands, costs, smi bounds, predictor mask), so
+#: process-wide source -> compiled code cache, one entry per generated
+#: closure (or per batch of trace closures).  The generated source embeds
+#: every literal (operands, costs, smi bounds, predictor mask), so
 #: identical source means identical bytecode; re-running a benchmark in
 #: the same process (grid reps, cold-vs-warm cache measurements) skips
 #: ``compile()`` entirely and only pays the per-executor ``exec``.
@@ -172,10 +181,10 @@ def block_spans(instrs) -> List[Tuple[int, int]]:
 
 
 class Block:
-    """One compiled basic block: fused + stepped closures and static
-    per-execution statistics (charged block-at-a-time by a generated
-    prologue inside each closure).  ``stepped`` is a placeholder until
-    the twin's first call compiles it."""
+    """One basic block: fused + stepped closures and static per-execution
+    statistics (charged block-at-a-time by a generated prologue inside
+    each closure).  ``fused`` and ``stepped`` each hold a placeholder
+    until their first call compiles the closure."""
 
     __slots__ = (
         "start",
@@ -323,13 +332,42 @@ _FRR_INFIX = {operator.add: "+", operator.sub: "-", operator.mul: "*"}
 def compile_blocks(
     code: "CodeObject", executor: "Executor"
 ) -> Optional[BlockTable]:
-    """Partition ``code`` and compile every block's fused closure (stepped
-    twins compile on first use); None when flags cross a block boundary
-    (the code is then stamped ``opt`` and runs on the step loop)."""
+    """Partition ``code`` into blocks whose closures compile on their
+    first call; None when flags cross a block boundary (the code is then
+    stamped ``opt`` and runs on the step loop)."""
     return _BlockCompiler(code, executor).compile()
 
 
+class _Lazy:
+    """Stands in for one generated closure until its first call.
+
+    The first call has ``compiler._materialize(key, self)`` assemble
+    the closure alone, compile it through the source memo and swap it
+    in wherever the placeholder is held; then it calls through with the
+    entry state untouched.  A caller still holding the placeholder
+    reaches the compiled closure without compiling again.  One small
+    object per slot: a table holds two or three per block, and most are
+    never called.
+    """
+
+    __slots__ = ("compiler", "key", "fn")
+
+    def __init__(self, compiler: "_BlockCompiler", key: object) -> None:
+        self.compiler = compiler
+        self.key = key
+        self.fn = None
+
+    def __call__(self, *args):
+        fn = self.fn
+        if fn is None:
+            fn = self.fn = self.compiler._materialize(self.key, self)
+        return fn(*args)
+
+
 class _BlockCompiler:
+    #: code-object name of the generated closures, seen in tracebacks
+    filename = "<blockjit>"
+
     def __init__(self, code: "CodeObject", executor: "Executor") -> None:
         from .executor import MachineError
 
@@ -434,45 +472,59 @@ class _BlockCompiler:
 
             self.plans = typed_plans(self.code)
         table.typed_plans = dict(self.plans)
-        sources: List[str] = []
+        self.table = table
         for bid, (start, end) in enumerate(spans):
-            table.blocks.append(self._compile_block(bid, start, end, sources))
-        # One compile()/exec for the whole code object: with ~3 instructions
-        # per block, per-call compile() overhead would otherwise dominate
-        # the first-run cost of every cell.
-        self._exec("\n".join(sources))
-        for bid, block in enumerate(table.blocks):
-            block.fused = self.glb.pop(f"_blk_f{bid}")
-            block.stepped = self._lazy_twin(table, bid)
-            # _blk_g{bid} generic fallbacks stay in glb: typed closures
-            # resolve them as globals on guard failure.
+            block = self._block(start, end)
+            table.blocks.append(block)
+            block.fused = _Lazy(self, (bid, "f"))
+            block.stepped = _Lazy(self, (bid, "s"))
+            plan = self.plans.get(bid)
+            if plan is not None and plan.guards:
+                # A failing entry guard tail-calls the generic body, which
+                # the typed body looks up in these globals.
+                self.glb[f"_blk_g{bid}"] = _Lazy(self, (bid, "g"))
         table.driver = [(b.total_cost, b.fused, b.stepped) for b in table.blocks]
         return table
 
-    def _lazy_twin(self, table: BlockTable, bid: int):
-        """Placeholder for block ``bid``'s stepped twin.
+    def _materialize(self, key: Tuple[int, str], placeholder: "_Lazy"):
+        """Compile the closure ``placeholder`` stands for and swap it in.
 
-        Its first call compiles the twin, swaps it into every driver slot
-        still holding the placeholder (the base slot, LBBV version slots
-        that copied ``block.stepped``, slots a demotion rewrote), each
-        slot keeping its cost, and calls through with the entry state
-        untouched — the idiom of the LBBV tier's lazy version bodies.
+        ``key`` is ``(bid, variant)``: ``f`` the fused body (the typed
+        variant when the block has a plan), ``s`` its stepped twin, ``g``
+        the generic body a typed body's failing entry guard tail-calls.
+        The twin is always generic: it is the timing/sampling reference
+        the sentinel diffs against.  A fused body or twin goes on the
+        :class:`Block`, into its base driver slot (the slot keeps its
+        cost, which a demotion may have set to inf) and into the slots
+        an LBBV version table copied the placeholder into.  Only those
+        slots are visited, so a first call never scans the driver.
         """
-        block = table.blocks[bid]
+        bid, variant = key
+        table = self.table
         start, end = table.spans[bid]
-
-        def _placeholder(*args):
-            if block.stepped is _placeholder:
-                self._exec(self._assemble(bid, start, end, block, stepped=True))
-                block.stepped = self.glb.pop(f"_blk_s{bid}")
-                driver = table.driver
-                for index, (cost, fused, stepped) in enumerate(driver):
-                    if stepped is _placeholder:
-                        driver[index] = (cost, fused, block.stepped)
-            # A caller holding a stale reference reaches the compiled twin.
-            return block.stepped(*args)
-
-        return _placeholder
+        block = table.blocks[bid]
+        self._exec(self._assemble(
+            bid, start, end, block, stepped=variant == "s",
+            plan=self.plans.get(bid) if variant == "f" else None,
+            generic=variant == "g",
+        ))
+        name = f"_blk_{variant}{bid}"
+        if variant == "g":
+            return self.glb[name]  # the exec rebound the global
+        fn = self.glb.pop(name)
+        cost, fused, stepped = table.driver[bid]
+        if variant == "f":
+            block.fused = fn
+            if fused is placeholder:
+                table.driver[bid] = (cost, fn, stepped)
+        else:
+            block.stepped = fn
+            if stepped is placeholder:
+                table.driver[bid] = (cost, fused, fn)
+        versions = self.code._versions
+        if versions is not None and versions.table is table:
+            versions.retarget(bid, placeholder, fn)
+        return fn
 
     def _exec(self, source: str) -> None:
         """Compile ``source`` through the process-wide memo and run it in
@@ -480,13 +532,13 @@ class _BlockCompiler:
         compiled = _COMPILED_SOURCES.get(source)
         if compiled is None:
             compiled = _COMPILED_SOURCES[source] = compile(
-                source, "<blockjit>", "exec"
+                source, self.filename, "exec"
             )
         exec(compiled, self.glb)  # noqa: S102 - generated from decoded instrs
 
-    def _compile_block(
-        self, bid: int, start: int, end: int, sources: List[str]
-    ) -> Block:
+    def _block(self, start: int, end: int) -> Block:
+        """A block with its cost and static counter deltas; its closures
+        are assembled on first call."""
         block = Block(start, end)
         block.total_cost = self.decoded[end - 1][8]  # prefix of last instr
         for pc in range(start, end):
@@ -499,23 +551,6 @@ class _BlockCompiler:
                 block.n_branches += 1
                 if kind == K_BCC and self.decoded[pc][3]:  # s1 = is_deopt
                     block.n_deopt_branches += 1
-        plan = self.plans.get(bid)
-        if plan is not None:
-            # The fused slot gets the typed variant; the generic body is
-            # kept (as _blk_g{bid}) only when a guard can actually fail
-            # into it.  The stepped twin (_lazy_twin) is always generic —
-            # it is the timing/sampling reference the sentinel diffs
-            # against.
-            sources.append(
-                self._assemble(bid, start, end, block, stepped=False, plan=plan)
-            )
-            if plan.guards:
-                sources.append(
-                    self._assemble(bid, start, end, block, stepped=False,
-                                   generic=True)
-                )
-        else:
-            sources.append(self._assemble(bid, start, end, block, stepped=False))
         return block
 
     def _stats_prologue(self, block: Block) -> List[str]:

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
-from .blockjit import _COMPILED_SOURCES, _BlockCompiler
+from .blockjit import _BlockCompiler
 from .ladder import Tier, default_tier
 
 if TYPE_CHECKING:
@@ -134,6 +134,8 @@ class _VersionCompiler(_BlockCompiler):
     and only overrides target resolution: exits whose edge state proved
     a successor version's key jump to the version's driver index.
     """
+
+    filename = "<lbbv>"
 
     def __init__(self, code: "CodeObject", executor: "Executor",
                  table: "BlockTable") -> None:
@@ -520,13 +522,7 @@ class VersionTable:
             ))
         finally:
             compiler.redirect = {}
-        source = "\n".join(sources)
-        compiled = _COMPILED_SOURCES.get(source)
-        if compiled is None:
-            compiled = _COMPILED_SOURCES[source] = compile(
-                source, "<lbbv>", "exec"
-            )
-        exec(compiled, compiler.glb)  # noqa: S102 - generated from decoded
+        compiler._exec("\n".join(sources))
         fn = compiler.glb.pop(f"_blk_f{bid}")
         self._rechain_fns[bid] = fn
         if bid in self.dispatched:
@@ -633,12 +629,7 @@ class VersionTable:
                 .replace(f"_blk_g{bid}(", f"{gname}(")
                 + "\n" + source
             )
-        compiled = _COMPILED_SOURCES.get(source)
-        if compiled is None:
-            compiled = _COMPILED_SOURCES[source] = compile(
-                source, "<lbbv>", "exec"
-            )
-        exec(compiled, compiler.glb)  # noqa: S102 - generated from decoded
+        compiler._exec(source)
         fn = compiler.glb.pop(f"_vb{version.index}")
         version.compiled = fn
         self.compiled += 1
@@ -654,6 +645,20 @@ class VersionTable:
                 block.total_cost, fn, block.stepped,
             )
         return fn
+
+    def retarget(self, bid: int, old: object, new: object) -> None:
+        """Put block ``bid``'s just-compiled closure ``new`` wherever this
+        table copied its placeholder ``old``: a dispatcher's fallback
+        (``dispatched`` and ``_vf<bid>``) for the fused body, the version
+        slots' stepped column for the twin."""
+        if self.dispatched.get(bid) is old:
+            self.dispatched[bid] = new
+            self._compiler.glb[f"_vf{bid}"] = new
+        driver = self.table.driver
+        for version in self.versions.get(bid, ()):
+            cost, fused, stepped = driver[version.index]
+            if stepped is old:
+                driver[version.index] = (cost, fused, new)
 
     # -- dispatch --------------------------------------------------------
 
@@ -712,16 +717,10 @@ class VersionTable:
         lines.append(
             f"return _vf{bid}(regs, fregs, frame, special, heap, cycles)"
         )
-        source = (
+        compiler._exec(
             f"def _vd{bid}(regs, fregs, frame, special, heap, cycles):\n"
             + "".join(f"    {line}\n" for line in lines)
         )
-        compiled = _COMPILED_SOURCES.get(source)
-        if compiled is None:
-            compiled = _COMPILED_SOURCES[source] = compile(
-                source, "<lbbv>", "exec"
-            )
-        exec(compiled, compiler.glb)  # noqa: S102 - generated guard tests
         dispatcher = compiler.glb.pop(f"_vd{bid}")
         cost, _fused, stepped = self.table.driver[bid]
         self.table.driver[bid] = (cost, dispatcher, stepped)

@@ -37,14 +37,17 @@ for call-heavy code with no intra-body loops, from the entry block.
 Recording would interleave the bids of recursive inner activations;
 counters aggregate them harmlessly.
 
-Sentinel integration (PR 5): every call-free trace also compiles a
-``once`` variant (single pass, generic bodies, no demotion/audit
-checks) plus a stepped twin that replays the chain through the blocks'
-stepped closures; :meth:`repro.supervise.sentinel.DivergenceSentinel.
+Sentinel integration: every call-free trace also has a ``once``
+variant (single pass, generic bodies, no demotion/audit checks) plus a
+stepped twin that replays the chain through the blocks' stepped
+closures; :meth:`repro.supervise.sentinel.DivergenceSentinel.
 audit_trace` shadow-executes both from the same entry state and demotes
-the whole table — blocks *and* traces — on any mismatch.  Traces whose
-chain spans a call are not auditable (same rule as call blocks), and a
-demoted or storm-disabled code object drops its traces with its blocks.
+the whole table — blocks *and* traces — on any mismatch.  Promotion
+compiles only the looping closures: a ``once`` variant is assembled and
+compiled on its trace's first audit, so unaudited runs never build one.
+Traces whose chain spans a call are not auditable (same rule as call
+blocks), and a demoted or storm-disabled code object drops its traces
+with its blocks.
 
 Executor ladder (:mod:`repro.machine.ladder`): traces are the top
 tier, on top of block versioning.  :func:`run_blocks`, the one driver
@@ -65,12 +68,12 @@ runs.
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..isa.semantics import fused_block_edges
 from ..jit.codegen import THIS_REG
 from .blockjit import (
-    _COMPILED_SOURCES,
     K_B,
     K_BCC,
     K_CALL_DYN,
@@ -80,6 +83,7 @@ from .blockjit import (
     K_JSLDRSMI,
     K_RET,
     _BlockCompiler,
+    _Lazy,
     compile_blocks,
 )
 from .ladder import Tier, default_tier
@@ -239,7 +243,7 @@ class TraceTable:
         legal = fused_block_edges(self.code.instrs)
         compiler = _TraceCompiler(self.code, self.executor, table, self)
         sources: List[str] = []
-        pending: List[Tuple[TraceInfo, bool]] = []
+        pending: List[TraceInfo] = []
         covered = set()
         for head, secondary in heads:
             if len(pending) >= MAX_TRACES:
@@ -252,37 +256,19 @@ class TraceTable:
             if len(chain) < 2 and not cyclic:
                 continue
             try:
-                src_l, src_o, info = compiler.compile_trace(
-                    head, chain, cyclic
-                )
+                src_l, info = compiler.compile_trace(head, chain, cyclic)
             except _ChainAbort:
                 continue
             sources.append(src_l)
-            auditable = info.n_calls == 0 and all(
-                table.auditable[b] for b in chain
-            )
-            if auditable:
-                sources.append(src_o)
-            pending.append((info, auditable))
+            pending.append(info)
             covered.update(chain)
         if not pending:
             return
-        source = "\n".join(sources)
-        compiled = _COMPILED_SOURCES.get(source)
-        if compiled is None:
-            compiled = _COMPILED_SOURCES[source] = compile(
-                source, "<tracejit>", "exec"
-            )
-        glb = compiler.glb
-        exec(compiled, glb)  # noqa: S102 - generated from decoded instrs
-        for info, auditable in pending:
-            info.looping = glb.pop(f"_trace_l{info.head}")
-            if auditable:
-                info.once = glb.pop(f"_trace_o{info.head}")
-                info.stepped_once = _make_stepped_once(
-                    self.executor, table.driver, info.chain, info.bound
-                )
-                info.auditable = True
+        # The looping closures in one batch; each ``once`` variant
+        # compiles on its trace's first audit (compile_trace).
+        compiler._exec("\n".join(sources))
+        for info in pending:
+            info.looping = compiler.glb.pop(f"_trace_l{info.head}")
             self.traces[info.head] = info
             self.anchors[info.head] = info.looping
 
@@ -441,6 +427,8 @@ class _TraceCompiler(_BlockCompiler):
     emission, guard construction and statistics prologues, so chained
     code is statement-identical to the fused blocks it replaces."""
 
+    filename = "<tracejit>"
+
     def __init__(self, code: "CodeObject", executor: "Executor",
                  table: "BlockTable", tt: TraceTable) -> None:
         super().__init__(code, executor)
@@ -456,7 +444,11 @@ class _TraceCompiler(_BlockCompiler):
     # -- trace assembly --------------------------------------------------
 
     def compile_trace(self, head: int, chain: List[int],
-                      cyclic: bool) -> Tuple[str, str, TraceInfo]:
+                      cyclic: bool) -> Tuple[str, TraceInfo]:
+        """The looping closure's source, and the trace's info.  A
+        call-free chain of auditable blocks also gets its audit pair:
+        ``once`` as a placeholder that assembles and compiles the variant
+        on the first audit, and the stepped replay."""
         info = TraceInfo(head, list(chain), cyclic)
         decoded = self.decoded
         spans = self.table.spans
@@ -502,12 +494,27 @@ class _TraceCompiler(_BlockCompiler):
             pos_plans=pos_plans, seg_starts=seg_starts,
             seg_bounds=seg_bounds,
         )
-        src_o = self._assemble_trace(
-            head, chain, cyclic, once=True, eval_guards=eval_guards,
-            pos_plans=pos_plans, seg_starts=seg_starts,
-            seg_bounds=seg_bounds,
+        info.auditable = info.n_calls == 0 and all(
+            self.table.auditable[b] for b in chain
         )
-        return src_l, src_o, info
+        if info.auditable:
+            info.once = _Lazy(self, (info, partial(
+                self._assemble_trace, head, chain, cyclic, once=True,
+                eval_guards=eval_guards, pos_plans=pos_plans,
+                seg_starts=seg_starts, seg_bounds=seg_bounds,
+            )))
+            info.stepped_once = _make_stepped_once(
+                self.executor, self.table.driver, info.chain, info.bound
+            )
+        return src_l, info
+
+    def _materialize(self, key, placeholder: _Lazy):
+        """Compile a trace's audit (``once``) variant, on its first
+        audit; ``key`` is the trace's info and the variant's assembler."""
+        info, assemble = key
+        self._exec(assemble())
+        info.once = self.glb.pop(f"_trace_o{info.head}")
+        return info.once
 
     def _assemble_trace(self, head: int, chain: List[int], cyclic: bool,
                         once: bool, eval_guards, pos_plans, seg_starts,

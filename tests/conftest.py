@@ -33,6 +33,23 @@ def _isolated_supervise_dirs(tmp_path, monkeypatch):
 
 
 @pytest.fixture
+def exec_log(monkeypatch):
+    """Every generated source the block, trace and version compilers
+    exec (through ``_BlockCompiler._exec``) while the test runs."""
+    from repro.machine.blockjit import _BlockCompiler
+
+    sources = []
+    real_exec = _BlockCompiler._exec
+
+    def recording_exec(self, source):
+        sources.append(source)
+        return real_exec(self, source)
+
+    monkeypatch.setattr(_BlockCompiler, "_exec", recording_exec)
+    return sources
+
+
+@pytest.fixture
 def heap():
     from repro.values.heap import Heap
 

@@ -16,9 +16,11 @@ with the block executors on (``EngineConfig(tier=Tier.TRACE)``) and off
   code generator) must run on the step loop at tier ``trace``, with
   tier ``opt``'s results.
 
-Stepped twins compile on their first call, so the sampled, injected and
-sweep tests above also exercise that path; the lazy-twin tests below pin
-its bookkeeping.
+Every closure compiles on its first call: fused bodies when a block is
+first entered, stepped twins when a block is first routed through its
+twin (the sampled, injected and sweep tests above exercise that path),
+a typed body's generic fallback when an entry guard first fails.  The
+lazy-compile tests below pin the bookkeeping.
 """
 
 import pytest
@@ -27,6 +29,7 @@ from repro.engine import Engine, EngineConfig
 from repro.isa.base import MOp
 from repro.jit.codegen import CodeGenerator
 from repro.machine import blockjit, tracejit
+from repro.machine.continuations import fact_holds
 from repro.machine.ladder import Tier
 from repro.profiling.sampler import attach_sampler, window_straddles_tick
 from repro.resilience.faults import FaultInjector, plan_for
@@ -175,62 +178,248 @@ def test_full_sweep_identity(spec, target):
     )
 
 
-# -- lazy stepped twins ----------------------------------------------------
+# -- lazy compiles: fused bodies, stepped twins, generic fallbacks ---------
 
 
-def test_unsampled_run_compiles_no_stepped_twin(monkeypatch):
-    """Nothing samples, injects or audits, so no block is ever routed
-    through its twin and no twin source reaches ``compile()``."""
+def test_unsampled_run_compiles_only_the_bodies_it_enters(monkeypatch):
+    """A fused body compiles on its slot's first call: the run compiles
+    fewer bodies than its tables have blocks, and only for blocks whose
+    slot was called.  Nothing samples, injects or audits, so no block is
+    routed through its twin, and no entry guard fails, so no twin or
+    generic fallback source reaches ``compile()``."""
     sources = []
 
-    def counting_compile(source, *args):
-        sources.append(source)
-        return compile(source, *args)
+    def counting_compile(source, filename, mode):
+        sources.append((filename, source))
+        return compile(source, filename, mode)
+
+    tables, entered = [], set()
+    compile_blocks = tracejit.compile_blocks
+
+    def witness(table, bid, slot):
+        def entered_slot(*args):
+            entered.add((id(table), bid))
+            return slot(*args)
+
+        return entered_slot
+
+    def spy(code, executor):
+        # Each base slot's fused entry is wrapped by a witness of its
+        # calls; the witness keeps calling the placeholder, which then
+        # calls through to the compiled body.
+        table = compile_blocks(code, executor)
+        if table is not None:
+            tables.append(table)
+            table.driver[:] = [
+                (cost, witness(table, bid, fused), stepped)
+                for bid, (cost, fused, stepped) in enumerate(table.driver)
+            ]
+        return table
 
     monkeypatch.delenv("REPRO_AUDIT", raising=False)
     monkeypatch.setattr(blockjit, "_COMPILED_SOURCES", {})
     monkeypatch.setattr(blockjit, "compile", counting_compile, raising=False)
+    monkeypatch.setattr(tracejit, "compile_blocks", spy)
     for target in TARGETS:
         for name in ("AES2", "FIB", "SPECTRAL"):
             run_fingerprint(name, target, True)
-    assert any("def _blk_f" in source for source in sources)
-    assert sum(source.count("def _blk_s") for source in sources) == 0
+    compiled = {
+        (id(table), bid)
+        for table in tables
+        for bid, block in enumerate(table.blocks)
+        if not isinstance(block.fused, blockjit._Lazy)
+    }
+    bodies = [
+        source for filename, source in sources
+        if filename == "<blockjit>" and source.startswith("def _blk_f")
+    ]
+    assert bodies and len(bodies) <= len(compiled)
+    assert compiled <= entered
+    assert len(compiled) < sum(len(table.blocks) for table in tables)
+    assert not any(
+        "def _blk_s" in source or "def _blk_g" in source
+        for _filename, source in sources
+    )
 
 
-def warmed_lbbv_engine():
-    """AES2 past tier-up on the lbbv rung, unsampled and unaudited: its
-    version slots exist and no twin has been called yet."""
+def warmed_engine(tier=Tier.LBBV):
+    """AES2 past tier-up (by default on the lbbv rung, so its version
+    slots exist), unsampled and unaudited: no twin has been called yet,
+    and no entry guard has failed."""
     runner = BenchmarkRunner(
         get_benchmark("AES2"),
-        EngineConfig(target="arm64", tier=Tier.LBBV, audit=False),
+        EngineConfig(target="arm64", tier=tier, audit=False),
     )
     runner.run(iterations=12)
     return runner.last_engine
 
 
-def step_once(engine, code, stepped):
-    """Call one stepped entry of an auditable AES2 block on a zeroed
-    state: every register, frame slot and heap word 0.  AES2 is integer
-    code, so any such block then runs cleanly, leaving the real heap
+def zeroed_state(engine, code):
+    """Every register, frame slot and heap word 0.  AES2 is integer code,
+    so any auditable block runs cleanly on it, leaving the real heap
     alone."""
-    stepped(
+    return (
         [0] * code.target.gpr_count, [0.0] * code.target.fpr_count,
         [0] * max(1, code.stack_slots), [0, 0, 0],
-        [0] * len(engine.executor.heap.words), 0.0,
+        [0] * len(engine.executor.heap.words),
     )
 
 
-def assert_swapped(table, before, placeholder, twin):
-    """Every slot that held ``placeholder`` now holds ``twin`` with its
-    own cost and fused entry; every other slot is untouched."""
-    held = [i for i, entry in enumerate(before) if entry[2] is placeholder]
+def step_once(engine, code, stepped):
+    """Call one stepped entry of an auditable AES2 block on a zeroed
+    state."""
+    stepped(*zeroed_state(engine, code), 0.0)
+
+
+def run_zeroed(engine, code, fn):
+    """``fn``'s ``(next bid, cycles)`` and register files on a zeroed
+    state, with the predictor restored afterwards so that every call
+    starts from the same predictor state."""
+    pred = engine.executor.predictor
+    history, counters = pred.history, bytes(pred.table)
+    state = zeroed_state(engine, code)
+    try:
+        result = fn(*state, 0.0)
+    finally:
+        pred.history = history
+        pred.table[:] = counters
+    return result, state[:4]
+
+
+def assert_swapped(table, before, placeholder, body, column=2):
+    """Every slot whose ``column`` held ``placeholder`` now holds
+    ``body``, keeping its cost and its other closure; every other slot
+    is untouched."""
+    held = [i for i, entry in enumerate(before) if entry[column] is placeholder]
     assert held
-    for index, (cost, fused, stepped) in enumerate(table.driver):
-        old_cost, old_fused, old_stepped = before[index]
-        assert cost == old_cost
-        assert fused is old_fused
-        assert stepped is (twin if index in held else old_stepped)
+    for index, entry in enumerate(table.driver):
+        old = before[index]
+        assert entry[0] == old[0]
+        for col in (1, 2):
+            expected = body if col == column and index in held else old[col]
+            assert entry[col] is expected
     return held
+
+
+def untouched_base_slot(engine):
+    """(code, table, bid) of an auditable block without a typed plan
+    whose base slot still holds its fused placeholder."""
+    for code in engine._code_objects:
+        table = code._blocks
+        if table is None:
+            continue
+        for bid, block in enumerate(table.blocks):
+            if (table.auditable[bid] and bid not in table.typed_plans
+                    and table.driver[bid][1] is block.fused
+                    and isinstance(block.fused, blockjit._Lazy)):
+                return code, table, bid
+    raise AssertionError("no uncompiled base slot of an auditable block")
+
+
+def dispatch_to_placeholder(engine):
+    """(code, table, versions, bid) of an auditable block whose LBBV
+    dispatcher captured the fused placeholder and, on a zeroed state,
+    matches no version, so it calls that placeholder."""
+    for code in engine._code_objects:
+        table, versions = code._blocks, code._versions
+        if table is None or versions is None or versions.table is not table:
+            continue
+        regs, _fregs, _frame, _special, heap = zeroed_state(engine, code)
+        for bid, fallback in sorted(versions.dispatched.items()):
+            if (table.auditable[bid] and fallback is table.blocks[bid].fused
+                    and isinstance(fallback, blockjit._Lazy)
+                    and all(
+                        any(fact_holds(f, regs, heap) is False
+                            for f in version.key)
+                        for version in versions.versions[bid]
+                    )):
+                return code, table, versions, bid
+    raise AssertionError("no dispatcher falls back to a fused placeholder")
+
+
+def test_first_call_swaps_the_body_into_the_base_slot(exec_log):
+    engine = warmed_engine()
+    code, table, bid = untouched_base_slot(engine)
+    placeholder = table.blocks[bid].fused
+    before = list(table.driver)
+    first = run_zeroed(engine, code, table.driver[bid][1])
+    body = table.blocks[bid].fused
+    assert body.__name__ == f"_blk_f{bid}"
+    assert assert_swapped(table, before, placeholder, body, column=1) == [bid]
+    # A call through a stale reference runs the body, compiling nothing.
+    after = list(table.driver)
+    mark = len(exec_log)
+    assert run_zeroed(engine, code, placeholder) == first
+    assert exec_log[mark:] == []
+    assert table.blocks[bid].fused is body
+    assert table.driver == after
+
+
+def test_first_call_swaps_the_body_into_the_dispatch_fallback(exec_log):
+    engine = warmed_engine()
+    code, table, versions, bid = dispatch_to_placeholder(engine)
+    placeholder = table.blocks[bid].fused
+    dispatcher = table.driver[bid][1]
+    glb = versions._compiler.glb
+    before = list(table.driver)
+    first = run_zeroed(engine, code, dispatcher)
+    body = table.blocks[bid].fused
+    assert body.__name__ == f"_blk_f{bid}"
+    assert versions.dispatched[bid] is body
+    assert glb[f"_vf{bid}"] is body
+    assert all(
+        entry[0] == old[0] and entry[1] is old[1] and entry[2] is old[2]
+        for entry, old in zip(table.driver, before)
+    )
+    mark = len(exec_log)
+    assert run_zeroed(engine, code, placeholder) == first
+    assert run_zeroed(engine, code, dispatcher) == first
+    assert exec_log[mark:] == []
+
+
+def eager_typed_body(code, executor, bid):
+    """Block ``bid``'s typed body compiled together with its generic
+    fallback in one module, as a table built eagerly would hold them."""
+    compiler = blockjit._BlockCompiler(code, executor)
+    table = compiler.compile()
+    start, end = table.spans[bid]
+    block = table.blocks[bid]
+    compiler._exec(
+        compiler._assemble(bid, start, end, block, False,
+                           table.typed_plans[bid])
+        + "\n"
+        + compiler._assemble(bid, start, end, block, False, generic=True)
+    )
+    return compiler.glb[f"_blk_f{bid}"]
+
+
+def test_failing_entry_guard_compiles_the_generic_fallback(exec_log):
+    engine = warmed_engine(Tier.TYPED)
+    found = None
+    for code in engine._code_objects:
+        table = code._blocks
+        if table is None:
+            continue
+        regs, _fregs, _frame, _special, heap = zeroed_state(engine, code)
+        for bid, plan in sorted(table.typed_plans.items()):
+            if table.auditable[bid] and any(
+                fact_holds(f, regs, heap) is False for f in plan.guards
+            ):
+                found = code, table, bid
+                break
+        if found:
+            break
+    assert found, "no typed block whose entry guard fails on a zeroed state"
+    code, table, bid = found
+    mark = len(exec_log)
+    lazy = run_zeroed(engine, code, table.driver[bid][1])
+    assert any(
+        source.startswith(f"def _blk_g{bid}(") for source in exec_log[mark:]
+    )
+    glb = table.blocks[bid].fused.__globals__
+    assert glb[f"_blk_g{bid}"].__name__ == f"_blk_g{bid}"
+    eager = eager_typed_body(code, engine.executor, bid)
+    assert lazy == run_zeroed(engine, code, eager)
 
 
 def lazy_twin_slots(engine):
@@ -250,7 +439,7 @@ def lazy_twin_slots(engine):
 
 
 def test_twin_first_reached_through_a_version_slot():
-    engine = warmed_lbbv_engine()
+    engine = warmed_engine()
     slots = lazy_twin_slots(engine)
     assert slots, "no version slot of an auditable block"
     code, table, bid, index = slots[0]
@@ -269,7 +458,7 @@ def test_twin_first_reached_through_a_version_slot():
 
 
 def test_twin_first_reached_after_demotion():
-    engine = warmed_lbbv_engine()
+    engine = warmed_engine()
     slots = lazy_twin_slots(engine)
     assert slots, "no version slot of an auditable block"
     code, table, bid, index = slots[-1]

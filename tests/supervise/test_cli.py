@@ -49,6 +49,25 @@ def test_inject_then_list_then_replay(inject_env, capsys):
     assert "REPRODUCED" in capsys.readouterr().out
 
 
+def test_inject_trace_demotes_the_trace_and_records_the_chain(inject_env,
+                                                            capsys):
+    """The seeded trace divergence: the audit variant compiles on the
+    first trace audit, and the corrupted audit still demotes the trace
+    and captures its bundle."""
+    from repro.supervise.bundles import load_bundle
+
+    code = main([
+        "inject", "MANDEL", "--iterations", "14", "--interval", "7",
+        "--trace", "--bundle-dir", str(inject_env),
+    ])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    assert "demoted" in out.err
+    record = load_bundle(out.out.strip().splitlines()[-1])
+    assert record["trace"]["head"] == record["block"]
+    assert record["block"] in record["trace"]["chain"]
+
+
 def test_replay_missing_bundle(capsys):
     assert main(["replay", "no-such-bundle.json"]) == 2
     assert "no such bundle" in capsys.readouterr().err

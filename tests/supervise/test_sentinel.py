@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import Engine, EngineConfig
+from repro.machine.blockjit import _Lazy
 from repro.machine.ladder import Tier
 from repro.supervise.sentinel import (
     DEFAULT_INTERVAL,
@@ -208,6 +209,16 @@ def traced_audited_run(name, interval, monkeypatch, chaos_trace=None,
     return result, engine, engine.executor._audit
 
 
+def trace_infos(engine):
+    """Every compiled trace of the engine's code objects."""
+    return [
+        info
+        for code in engine._code_objects
+        if code._traces is not None
+        for info in code._traces.traces.values()
+    ]
+
+
 class TestTraceAudits:
     @pytest.mark.parametrize("name", ("MANDEL", "SPECTRAL"))
     def test_clean_run_audits_traces_without_divergence(self, name,
@@ -246,6 +257,47 @@ class TestTraceAudits:
             iterations=14
         )
         assert result.result == plain.result
+
+    def test_unaudited_run_compiles_no_audit_variant(self, monkeypatch,
+                                                     exec_log):
+        _result, engine, sentinel = traced_audited_run(
+            "MANDEL", interval=False, monkeypatch=monkeypatch
+        )
+        assert sentinel is None
+        assert any(info.auditable for info in trace_infos(engine))
+        assert any(source.startswith("def _trace_l") for source in exec_log)
+        assert not any("def _trace_o" in source for source in exec_log)
+
+    def test_first_audit_compiles_the_audit_variant(self, monkeypatch,
+                                                    exec_log):
+        audits = []
+        audit_trace = DivergenceSentinel.audit_trace
+
+        def spy(self, ex, code, table, tt, info, *state):
+            # The stepped replay may compile block twins; only the audit
+            # variant is counted here.
+            mark = len(exec_log)
+            compiled = not isinstance(info.once, _Lazy)
+            ran = audit_trace(self, ex, code, table, tt, info, *state)
+            audits.append((info, compiled, [
+                source.split("(")[0] for source in exec_log[mark:]
+                if source.startswith("def _trace_o")
+            ]))
+            return ran
+
+        monkeypatch.setattr(DivergenceSentinel, "audit_trace", spy)
+        _result, engine, sentinel = traced_audited_run(
+            "MANDEL", interval=True, monkeypatch=monkeypatch
+        )
+        assert sentinel.trace_audits > 0 and sentinel.divergences == 0
+        seen = set()
+        for info, compiled, new in audits:
+            if id(info) in seen:
+                assert compiled and new == []
+            else:
+                seen.add(id(info))
+                assert not compiled and new == [f"def _trace_o{info.head}"]
+            assert info.once.__name__ == f"_trace_o{info.head}"
 
     def test_trace_divergence_bundle_records_the_chain(self, monkeypatch,
                                                        tmp_path):
